@@ -425,7 +425,7 @@ fn main() {
         }
         let conn = i % load.conns;
         let request = format!(
-            "{{\"cmd\":\"analyze\",\"snapshot\":\"{}\",\"sections\":[\"{}\"],\"options\":{{\"seed\":{}}},\"client\":\"tenant-{}\"}}\n",
+            "{{\"v\":1,\"cmd\":\"analyze\",\"snapshot\":\"{}\",\"sections\":[\"{}\"],\"options\":{{\"seed\":{}}},\"client\":\"tenant-{}\"}}\n",
             SNAPSHOTS[a.snapshot],
             a.section.id(),
             a.options_seed,

@@ -71,8 +71,8 @@ fn main() {
     // Incremental path: one engine, one advance_day per churn day.
     let engine_config = EngineConfig::default();
     let mut engine = TemporalEngine::new(
-        ChurnStream::from_network(&net, churn.clone()),
-        engine_config.clone(),
+        ChurnStream::from_network(&net, churn),
+        engine_config,
         &ctx,
     );
     let mut incremental_micros = Vec::with_capacity(config.days as usize);

@@ -38,9 +38,9 @@
 //! ```
 //!
 //! Single sections (what the `vnet-serve` analysis service computes and
-//! caches) run through [`run_analysis_section`]; the pre-0.2.0
-//! `run_full_analysis`/`*_observed` entrypoints live on as deprecated
-//! shims in [`compat`] — see `docs/API.md` for the migration table.
+//! caches) run through [`run_analysis_section`]. The pre-0.2.0
+//! `run_full_analysis`/`*_observed` entrypoints are deleted; the migration
+//! table in `docs/API.md` maps each old name to its replacement.
 //!
 //! Module map (paper section → module):
 //!

@@ -101,7 +101,7 @@ impl Default for DetectConfig {
 /// Detection input: the graph under suspicion plus (optionally) the daily
 /// follow-arrival attribution. `daily_follows[d]` lists the
 /// `(source, target)` follow events of day `d + 1` — exactly the `Follow`
-/// events of a [`vnet-synth`] churn batch. Empty slice: the burst scorer
+/// events of a `vnet-synth` churn batch. Empty slice: the burst scorer
 /// contributes zero (static snapshots have no timeline).
 #[derive(Debug, Clone, Copy)]
 pub struct DetectInput<'a> {

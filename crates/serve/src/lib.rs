@@ -36,10 +36,11 @@
 //! ## Wire protocol
 //!
 //! One JSON object per line in each direction (see `docs/API.md` for the
-//! full schema). The current envelope is versioned — `{"v":1,"cmd":...}`
-//! — and v1 rejects unknown keys with a structured `invalid_input`
-//! error; unversioned lines still work but their replies carry a
-//! `deprecation` note. Requests carry a `"cmd"` key:
+//! full schema). Every request carries the versioned envelope —
+//! `{"v":1,"cmd":...}` — which rejects unknown keys with a structured
+//! `invalid_input` error; a line without `"v"` gets the same
+//! `invalid_input` reply as an unsupported version. Requests carry a
+//! `"cmd"` key:
 //!
 //! | cmd        | fields                                                    |
 //! |------------|-----------------------------------------------------------|
@@ -100,14 +101,13 @@ mod shards;
 mod stats;
 
 pub use admission::{Admission, AdmissionClock, AdmissionPolicy, RateWindow};
-pub use cache::{CacheKey, CachedSection, ResultCache};
+pub use cache::{CacheKey, CachedSection};
 pub use executor::{CancelToken, Executor, ExecutorTelemetry, JobHandle, SubmitRefusal};
 pub use framing::{Frame, LineReader, MAX_LINE_BYTES};
 pub use monitor::{MonitorAlert, MonitorSample, SelfMonitorConfig};
 pub use protocol::{
-    parse_request, ChurnSpec, MetricsFormat, ParsedRequest, RegisterSource, Request,
-    DEPRECATION_NOTE, MAX_CHURN_DAYS, PROTOCOL_VERSION, WATCH_MAX_FRAMES,
-    WATCH_MAX_INTERVAL_MS, WATCH_MIN_INTERVAL_MS,
+    parse_request, ChurnSpec, MetricsFormat, RegisterSource, Request, MAX_CHURN_DAYS,
+    PROTOCOL_VERSION, WATCH_MAX_FRAMES, WATCH_MAX_INTERVAL_MS, WATCH_MIN_INTERVAL_MS,
 };
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use stats::STAGES;

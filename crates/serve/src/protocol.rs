@@ -3,18 +3,12 @@
 //! Each request is one JSON object on one line with a `"cmd"` key; each
 //! reply is one JSON object on one line with an `"ok"` key.
 //!
-//! Two envelope generations coexist (full grammar in `docs/API.md`):
-//!
-//! * **v1 (versioned)** — `{"v":1,"cmd":...}`. Strict: unknown top-level
-//!   keys and unknown `options` keys are a structured `invalid_input`
-//!   error, so typos (`"boostrap_reps"`) fail loudly instead of silently
-//!   computing the wrong thing. `as_of` and `client` are first-class
-//!   fields of `analyze`.
-//! * **legacy (unversioned)** — no `"v"` key. Parses exactly as before
-//!   (silent about extra keys) but every direct reply carries a
-//!   `"deprecation"` note pointing at the v1 envelope.
-//!
-//! A `"v"` of anything but integer `1` is rejected: the field is a
+//! Every request carries the v1 envelope, `{"v":1,"cmd":...}` (full
+//! grammar in `docs/API.md`). It is strict: unknown top-level keys and
+//! unknown `options` keys are a structured `invalid_input` error, so typos
+//! (`"boostrap_reps"`) fail loudly instead of silently computing the wrong
+//! thing. A missing `"v"`, or a `"v"` of anything but integer `1`, gets
+//! the same `invalid_input` reply naming the v1 envelope: the field is a
 //! contract, not a comment.
 
 use serde_json::Value;
@@ -22,11 +16,6 @@ use verified_net::{AnalysisOptions, Section, VnetError};
 
 /// The current wire-envelope version.
 pub const PROTOCOL_VERSION: u64 = 1;
-
-/// Deprecation note injected into every direct reply to an unversioned
-/// request.
-pub const DEPRECATION_NOTE: &str =
-    "unversioned request envelope is deprecated; send {\"v\":1,...} (see docs/API.md)";
 
 /// Upper bound on the churn horizon a `register` may request: a year of
 /// simulated days is an index; ten years is a memory bomb.
@@ -131,16 +120,6 @@ pub enum Request {
     Shutdown,
 }
 
-/// A request plus the envelope generation it arrived in. The connection
-/// loop uses `versioned` to decide whether to stamp the deprecation note.
-#[derive(Debug, Clone)]
-pub struct ParsedRequest {
-    /// The decoded request.
-    pub request: Request,
-    /// `true` when the line carried `"v":1`.
-    pub versioned: bool,
-}
-
 /// How a `metrics` reply is encoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MetricsFormat {
@@ -169,6 +148,9 @@ pub const DETECT_DEFAULT_TOP_K: usize = 20;
 /// cap bounds reply bytes, not detection work).
 pub const DETECT_MAX_TOP_K: usize = 10_000;
 
+/// The `bad_request` message for an `as_of` that is not a `u32` day.
+const AS_OF_MESSAGE: &str = "'as_of' must be a non-negative integer day";
+
 fn required_str(v: &Value, key: &str, cmd: &str) -> Result<String, VnetError> {
     v[key]
         .as_str()
@@ -176,7 +158,19 @@ fn required_str(v: &Value, key: &str, cmd: &str) -> Result<String, VnetError> {
         .ok_or_else(|| VnetError::BadRequest(format!("'{cmd}' needs a string '{key}' field")))
 }
 
-/// Top-level keys each command accepts under the v1 envelope.
+/// An optional non-negative integer field that must fit a `u32`: larger
+/// values are refused with `message`, never truncated.
+fn optional_u32(v: &Value, key: &str, message: &str) -> Result<Option<u32>, VnetError> {
+    if v[key].is_null() {
+        return Ok(None);
+    }
+    match v[key].as_u64().map(u32::try_from) {
+        Some(Ok(n)) => Ok(Some(n)),
+        _ => Err(VnetError::BadRequest(message.into())),
+    }
+}
+
+/// Top-level keys each command accepts.
 fn allowed_keys(cmd: &str) -> &'static [&'static str] {
     match cmd {
         "register" => &["v", "cmd", "name", "dir", "scale", "churn_days", "churn_seed", "churn_shock_day", "sybil"],
@@ -190,7 +184,7 @@ fn allowed_keys(cmd: &str) -> &'static [&'static str] {
     }
 }
 
-/// `options` keys the v1 envelope accepts.
+/// `options` keys a request may set.
 const OPTION_KEYS: &[&str] = &[
     "preset",
     "seed",
@@ -229,12 +223,10 @@ fn reject_unknown_keys(
 ///
 /// Starts from the `preset` (`"quick"`, the default, or `"default"` for
 /// the full-cost battery) and overrides any numeric knob given by name.
-/// Under the v1 envelope (`strict`), unknown option keys are rejected —
-/// a misspelled knob must not silently fall back to its default.
-fn parse_options(v: &Value, strict: bool) -> Result<AnalysisOptions, VnetError> {
-    if strict {
-        reject_unknown_keys(v, OPTION_KEYS, "options")?;
-    }
+/// Unknown option keys are rejected — a misspelled knob must not silently
+/// fall back to its default.
+fn parse_options(v: &Value) -> Result<AnalysisOptions, VnetError> {
+    reject_unknown_keys(v, OPTION_KEYS, "options")?;
     let base = match v["preset"].as_str() {
         None | Some("quick") => AnalysisOptions::quick(),
         Some("default") => AnalysisOptions::default(),
@@ -281,7 +273,7 @@ fn parse_options(v: &Value, strict: bool) -> Result<AnalysisOptions, VnetError> 
     Ok(b.build())
 }
 
-/// Parse the churn knobs of a `register` request (either envelope).
+/// Parse the churn knobs of a `register` request.
 fn parse_churn(v: &Value) -> Result<Option<ChurnSpec>, VnetError> {
     if v["churn_days"].is_null() {
         if !v["churn_seed"].is_null() || !v["churn_shock_day"].is_null() {
@@ -305,36 +297,24 @@ fn parse_churn(v: &Value) -> Result<Option<ChurnSpec>, VnetError> {
             VnetError::BadRequest("'churn_seed' must be a non-negative integer".into())
         })?),
     };
-    let shock_day = match &v["churn_shock_day"] {
-        s if s.is_null() => None,
-        s => Some(s.as_u64().ok_or_else(|| {
-            VnetError::BadRequest("'churn_shock_day' must be a non-negative integer".into())
-        })? as u32),
-    };
+    let shock_day =
+        optional_u32(v, "churn_shock_day", "'churn_shock_day' must be a non-negative integer")?;
     Ok(Some(ChurnSpec { days: days as u32, seed, shock_day }))
 }
 
-/// Parse one request line into a [`ParsedRequest`].
-pub fn parse_request(line: &str) -> Result<ParsedRequest, VnetError> {
+/// Parse one request line into a [`Request`].
+pub fn parse_request(line: &str) -> Result<Request, VnetError> {
     let v: Value = serde_json::from_str(line.trim())
         .map_err(|e| VnetError::BadRequest(format!("request is not valid JSON: {e}")))?;
-    let versioned = match &v["v"] {
-        ver if ver.is_null() => false,
-        ver => match ver.as_u64() {
-            Some(PROTOCOL_VERSION) => true,
-            _ => {
-                return Err(VnetError::InvalidInput(format!(
-                    "unsupported protocol version (this server speaks v{PROTOCOL_VERSION})"
-                )))
-            }
-        },
-    };
+    if v["v"].as_u64() != Some(PROTOCOL_VERSION) {
+        return Err(VnetError::InvalidInput(format!(
+            "missing or unsupported protocol version; send the v{PROTOCOL_VERSION} envelope {{\"v\":{PROTOCOL_VERSION},\"cmd\":...}} (see docs/API.md)"
+        )));
+    }
     let cmd = v["cmd"]
         .as_str()
         .ok_or_else(|| VnetError::BadRequest("request needs a string 'cmd' field".into()))?;
-    if versioned {
-        reject_unknown_keys(&v, allowed_keys(cmd), "request")?;
-    }
+    reject_unknown_keys(&v, allowed_keys(cmd), "request")?;
     let request = match cmd {
         "register" => {
             let name = required_str(&v, "name", "register")?;
@@ -372,12 +352,7 @@ pub fn parse_request(line: &str) -> Result<ParsedRequest, VnetError> {
         "detect" => {
             let snapshot = required_str(&v, "snapshot", "detect")?;
             let client = v["client"].as_str().unwrap_or("").to_string();
-            let as_of = match &v["as_of"] {
-                d if d.is_null() => None,
-                d => Some(d.as_u64().ok_or_else(|| {
-                    VnetError::BadRequest("'as_of' must be a non-negative integer day".into())
-                })? as u32),
-            };
+            let as_of = optional_u32(&v, "as_of", AS_OF_MESSAGE)?;
             let top_k = match &v["top_k"] {
                 t if t.is_null() => DETECT_DEFAULT_TOP_K,
                 t => t.as_u64().ok_or_else(|| {
@@ -408,14 +383,9 @@ pub fn parse_request(line: &str) -> Result<ParsedRequest, VnetError> {
                     "'analyze' needs a non-empty 'sections' array".into(),
                 ));
             }
-            let options = parse_options(&v["options"], versioned)?;
+            let options = parse_options(&v["options"])?;
             let client = v["client"].as_str().unwrap_or("").to_string();
-            let as_of = match &v["as_of"] {
-                d if d.is_null() => None,
-                d => Some(d.as_u64().ok_or_else(|| {
-                    VnetError::BadRequest("'as_of' must be a non-negative integer day".into())
-                })? as u32),
-            };
+            let as_of = optional_u32(&v, "as_of", AS_OF_MESSAGE)?;
             Request::Analyze { snapshot, sections, options, client, as_of }
         }
         "status" => Request::Status { snapshot: v["snapshot"].as_str().map(str::to_string) },
@@ -453,19 +423,7 @@ pub fn parse_request(line: &str) -> Result<ParsedRequest, VnetError> {
         "shutdown" => Request::Shutdown,
         other => return Err(VnetError::BadRequest(format!("unknown cmd '{other}'"))),
     };
-    Ok(ParsedRequest { request, versioned })
-}
-
-/// Stamp the legacy-envelope deprecation note into a direct reply. The
-/// note lands right after the `"ok"` field so replies stay one line and
-/// v1 replies stay byte-identical to the pre-envelope goldens.
-pub(crate) fn add_deprecation_note(reply: &str) -> String {
-    for prefix in ["{\"ok\":true", "{\"ok\":false"] {
-        if let Some(rest) = reply.strip_prefix(prefix) {
-            return format!("{prefix},\"deprecation\":{}{rest}", json_str(DEPRECATION_NOTE));
-        }
-    }
-    reply.to_string()
+    Ok(request)
 }
 
 /// Serialize an error as a structured protocol reply. `rate_limited`
@@ -499,12 +457,12 @@ mod tests {
     use super::*;
 
     fn parse(line: &str) -> Request {
-        parse_request(line).unwrap().request
+        parse_request(line).unwrap()
     }
 
     #[test]
     fn parses_register_and_analyze() {
-        let r = parse(r#"{"cmd":"register","name":"a","dir":"/tmp/x"}"#);
+        let r = parse(r#"{"v":1,"cmd":"register","name":"a","dir":"/tmp/x"}"#);
         match r {
             Request::Register { name, source, churn, sybil } => {
                 assert_eq!(name, "a");
@@ -515,7 +473,7 @@ mod tests {
             other => panic!("wrong parse: {other:?}"),
         }
         let r = parse(
-            r#"{"cmd":"analyze","snapshot":"a","sections":["basic","degrees"],"options":{"seed":7}}"#,
+            r#"{"v":1,"cmd":"analyze","snapshot":"a","sections":["basic","degrees"],"options":{"seed":7}}"#,
         );
         match r {
             Request::Analyze { snapshot, sections, options, client, as_of } => {
@@ -531,21 +489,22 @@ mod tests {
     }
 
     #[test]
-    fn v1_envelope_round_trips_and_flags_versioned() {
-        let p = parse_request(
+    fn v1_envelope_round_trips() {
+        match parse(
             r#"{"v":1,"cmd":"analyze","snapshot":"a","sections":["basic"],"client":"t1","as_of":3}"#,
-        )
-        .unwrap();
-        assert!(p.versioned);
-        match p.request {
+        ) {
             Request::Analyze { client, as_of, .. } => {
                 assert_eq!(client, "t1");
                 assert_eq!(as_of, Some(3));
             }
             other => panic!("wrong parse: {other:?}"),
         }
-        let p = parse_request(r#"{"cmd":"status"}"#).unwrap();
-        assert!(!p.versioned, "no 'v' key means the legacy envelope");
+        // The largest day that fits the field is served as itself.
+        match parse(r#"{"v":1,"cmd":"analyze","snapshot":"a","sections":["basic"],"as_of":4294967295}"#)
+        {
+            Request::Analyze { as_of, .. } => assert_eq!(as_of, Some(u32::MAX)),
+            other => panic!("wrong parse: {other:?}"),
+        }
     }
 
     #[test]
@@ -560,23 +519,23 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(e.code(), "invalid_input", "misspelled option key must not be silent");
-        // The same lines parse fine under the legacy envelope (the old
-        // lenient contract), which is exactly why it is deprecated.
-        assert!(parse_request(
-            r#"{"cmd":"analyze","snapshot":"a","sections":["basic"],"sectons":["x"]}"#
-        )
-        .is_ok());
     }
 
     #[test]
     fn unsupported_versions_are_rejected() {
+        // A missing `v` gets the same reply as a wrong one, naming the v1
+        // envelope.
+        let unversioned = parse_request(r#"{"cmd":"status"}"#).unwrap_err();
+        assert!(unversioned.to_string().contains(r#"{"v":1,"cmd":...}"#), "got {unversioned}");
         for line in [
             r#"{"v":2,"cmd":"status"}"#,
             r#"{"v":0,"cmd":"status"}"#,
             r#"{"v":"1","cmd":"status"}"#,
+            r#"{"cmd":"analyze","snapshot":"a","sections":["basic"],"sectons":["x"]}"#,
         ] {
             let e = parse_request(line).unwrap_err();
             assert_eq!(e.code(), "invalid_input", "line {line} gave {e}");
+            assert_eq!(e.to_string(), unversioned.to_string(), "line {line}");
         }
     }
 
@@ -594,9 +553,10 @@ mod tests {
             other => panic!("wrong parse: {other:?}"),
         }
         for bad in [
-            r#"{"cmd":"register","name":"a","scale":"small","churn_days":0}"#,
-            r#"{"cmd":"register","name":"a","scale":"small","churn_days":100000}"#,
-            r#"{"cmd":"register","name":"a","scale":"small","churn_seed":7}"#,
+            r#"{"v":1,"cmd":"register","name":"a","scale":"small","churn_days":0}"#,
+            r#"{"v":1,"cmd":"register","name":"a","scale":"small","churn_days":100000}"#,
+            r#"{"v":1,"cmd":"register","name":"a","scale":"small","churn_seed":7}"#,
+            r#"{"v":1,"cmd":"register","name":"a","scale":"small","churn_days":30,"churn_shock_day":4294967306}"#,
         ] {
             let e = parse_request(bad).unwrap_err();
             assert_eq!(e.code(), "bad_request", "line {bad} gave {e}");
@@ -617,8 +577,8 @@ mod tests {
         // Sybil without a churn horizon is meaningless: the campaigns are
         // scheduled churn days.
         for bad in [
-            r#"{"cmd":"register","name":"a","scale":"small","sybil":true}"#,
-            r#"{"cmd":"register","name":"a","scale":"small","churn_days":17,"sybil":"yes"}"#,
+            r#"{"v":1,"cmd":"register","name":"a","scale":"small","sybil":true}"#,
+            r#"{"v":1,"cmd":"register","name":"a","scale":"small","churn_days":17,"sybil":"yes"}"#,
         ] {
             let e = parse_request(bad).unwrap_err();
             assert_eq!(e.code(), "bad_request", "line {bad} gave {e}");
@@ -639,10 +599,11 @@ mod tests {
             other => panic!("wrong parse: {other:?}"),
         }
         for bad in [
-            r#"{"cmd":"detect"}"#,
-            r#"{"cmd":"detect","snapshot":"a","top_k":0}"#,
-            r#"{"cmd":"detect","snapshot":"a","top_k":100000}"#,
-            r#"{"cmd":"detect","snapshot":"a","as_of":"soon"}"#,
+            r#"{"v":1,"cmd":"detect"}"#,
+            r#"{"v":1,"cmd":"detect","snapshot":"a","top_k":0}"#,
+            r#"{"v":1,"cmd":"detect","snapshot":"a","top_k":100000}"#,
+            r#"{"v":1,"cmd":"detect","snapshot":"a","as_of":"soon"}"#,
+            r#"{"v":1,"cmd":"detect","snapshot":"a","as_of":4294967297}"#,
         ] {
             let e = parse_request(bad).unwrap_err();
             assert_eq!(e.code(), "bad_request", "line {bad} gave {e}");
@@ -653,34 +614,23 @@ mod tests {
     }
 
     #[test]
-    fn deprecation_note_lands_after_the_ok_field() {
-        let ok = add_deprecation_note("{\"ok\":true,\"snapshot\":\"a\"}");
-        assert!(ok.starts_with("{\"ok\":true,\"deprecation\":\""));
-        assert!(ok.ends_with(",\"snapshot\":\"a\"}"));
-        let err = add_deprecation_note("{\"ok\":false,\"error\":{}}");
-        assert!(err.starts_with("{\"ok\":false,\"deprecation\":\""));
-        let v: Value = serde_json::from_str(&ok).unwrap();
-        assert_eq!(v["deprecation"].as_str(), Some(DEPRECATION_NOTE));
-    }
-
-    #[test]
     fn parses_client_ids_and_shard_targets() {
         let r = parse(
-            r#"{"cmd":"analyze","snapshot":"a","sections":["basic"],"client":"tenant-7"}"#,
+            r#"{"v":1,"cmd":"analyze","snapshot":"a","sections":["basic"],"client":"tenant-7"}"#,
         );
         match r {
             Request::Analyze { client, .. } => assert_eq!(client, "tenant-7"),
             other => panic!("wrong parse: {other:?}"),
         }
-        match parse(r#"{"cmd":"status"}"#) {
+        match parse(r#"{"v":1,"cmd":"status"}"#) {
             Request::Status { snapshot: None } => {}
             other => panic!("wrong parse: {other:?}"),
         }
-        match parse(r#"{"cmd":"status","snapshot":"hot"}"#) {
+        match parse(r#"{"v":1,"cmd":"status","snapshot":"hot"}"#) {
             Request::Status { snapshot: Some(s) } => assert_eq!(s, "hot"),
             other => panic!("wrong parse: {other:?}"),
         }
-        match parse(r#"{"cmd":"metrics","snapshot":"hot"}"#) {
+        match parse(r#"{"v":1,"cmd":"metrics","snapshot":"hot"}"#) {
             Request::Metrics { snapshot: Some(s), format: MetricsFormat::Json } => {
                 assert_eq!(s, "hot")
             }
@@ -690,35 +640,35 @@ mod tests {
 
     #[test]
     fn parses_metrics_formats() {
-        match parse(r#"{"cmd":"metrics","format":"prom"}"#) {
+        match parse(r#"{"v":1,"cmd":"metrics","format":"prom"}"#) {
             Request::Metrics { snapshot: None, format: MetricsFormat::Prom } => {}
             other => panic!("wrong parse: {other:?}"),
         }
-        match parse(r#"{"cmd":"metrics","format":"json"}"#) {
+        match parse(r#"{"v":1,"cmd":"metrics","format":"json"}"#) {
             Request::Metrics { format: MetricsFormat::Json, .. } => {}
             other => panic!("wrong parse: {other:?}"),
         }
-        let e = parse_request(r#"{"cmd":"metrics","format":"xml"}"#).unwrap_err();
+        let e = parse_request(r#"{"v":1,"cmd":"metrics","format":"xml"}"#).unwrap_err();
         assert_eq!(e.code(), "bad_request");
     }
 
     #[test]
     fn parses_watch_with_defaults_and_bounds() {
-        match parse(r#"{"cmd":"watch"}"#) {
+        match parse(r#"{"v":1,"cmd":"watch"}"#) {
             Request::Watch { snapshot: None, interval_ms: 1_000, frames: 5 } => {}
             other => panic!("wrong parse: {other:?}"),
         }
-        match parse(r#"{"cmd":"watch","snapshot":"a","interval_ms":50,"frames":3}"#) {
+        match parse(r#"{"v":1,"cmd":"watch","snapshot":"a","interval_ms":50,"frames":3}"#) {
             Request::Watch { snapshot: Some(s), interval_ms: 50, frames: 3 } => {
                 assert_eq!(s, "a")
             }
             other => panic!("wrong parse: {other:?}"),
         }
         for bad in [
-            r#"{"cmd":"watch","interval_ms":1}"#,
-            r#"{"cmd":"watch","interval_ms":100000}"#,
-            r#"{"cmd":"watch","frames":0}"#,
-            r#"{"cmd":"watch","frames":1000000}"#,
+            r#"{"v":1,"cmd":"watch","interval_ms":1}"#,
+            r#"{"v":1,"cmd":"watch","interval_ms":100000}"#,
+            r#"{"v":1,"cmd":"watch","frames":0}"#,
+            r#"{"v":1,"cmd":"watch","frames":1000000}"#,
         ] {
             let e = parse_request(bad).unwrap_err();
             assert_eq!(e.code(), "bad_request", "line {bad} gave {e}");
@@ -740,16 +690,17 @@ mod tests {
     fn rejects_malformed_requests() {
         for line in [
             "not json",
-            r#"{"cmd":"fly"}"#,
-            r#"{"cmd":"register","name":"a"}"#,
-            r#"{"cmd":"analyze","snapshot":"a","sections":[]}"#,
-            r#"{"cmd":"analyze","snapshot":"a","sections":[3]}"#,
-            r#"{"cmd":"analyze","snapshot":"a","sections":["basic"],"as_of":"soon"}"#,
+            r#"{"v":1,"cmd":"fly"}"#,
+            r#"{"v":1,"cmd":"register","name":"a"}"#,
+            r#"{"v":1,"cmd":"analyze","snapshot":"a","sections":[]}"#,
+            r#"{"v":1,"cmd":"analyze","snapshot":"a","sections":[3]}"#,
+            r#"{"v":1,"cmd":"analyze","snapshot":"a","sections":["basic"],"as_of":"soon"}"#,
+            r#"{"v":1,"cmd":"analyze","snapshot":"a","sections":["basic"],"as_of":4294967297}"#,
         ] {
             let e = parse_request(line).unwrap_err();
             assert_eq!(e.code(), "bad_request", "line {line} gave {e}");
         }
-        let e = parse_request(r#"{"cmd":"analyze","snapshot":"a","sections":["nope"]}"#)
+        let e = parse_request(r#"{"v":1,"cmd":"analyze","snapshot":"a","sections":["nope"]}"#)
             .unwrap_err();
         assert_eq!(e.code(), "unknown_section");
     }

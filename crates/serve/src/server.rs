@@ -42,8 +42,7 @@ use crate::executor::{CancelToken, SubmitRefusal};
 use crate::flight::Role;
 use crate::monitor::{MonitorSample, SelfMonitor, SelfMonitorConfig};
 use crate::protocol::{
-    add_deprecation_note, error_reply, json_str, parse_request, ChurnSpec, MetricsFormat,
-    RegisterSource, Request,
+    error_reply, json_str, parse_request, ChurnSpec, MetricsFormat, RegisterSource, Request,
 };
 use crate::shards::{Shard, ShardRegistry, SnapshotData, SybilState, TemporalState};
 use crate::stats::ServeStats;
@@ -316,52 +315,31 @@ pub(crate) struct WatchParams {
 
 /// Dispatch one request line.
 pub(crate) fn handle_line(shared: &Arc<Shared>, line: &str) -> Dispatch {
-    let parsed = match parse_request(line) {
-        Ok(p) => p,
+    let request = match parse_request(line) {
+        Ok(r) => r,
         Err(e) => {
             shared.obs.inc_by("serve.bad_requests", &[], 1);
             return Dispatch::Reply(error_reply(&e));
         }
     };
-    let versioned = parsed.versioned;
-    if !versioned {
-        shared.obs.inc_by("serve.legacy_requests", &[], 1);
-    }
-    // Legacy (unversioned) envelopes keep working but their direct
-    // replies carry a `deprecation` field pointing at the v1 grammar.
-    // Watch acks are streamed frames and stay unannotated (docs/API.md).
-    let noted = |dispatch: Dispatch| -> Dispatch {
-        if versioned {
-            return dispatch;
-        }
-        match dispatch {
-            Dispatch::Reply(r) => Dispatch::Reply(add_deprecation_note(&r)),
-            Dispatch::ReplyThenStop(r) => Dispatch::ReplyThenStop(add_deprecation_note(&r)),
-            other => other,
-        }
-    };
-    match parsed.request {
+    match request {
         Request::Register { name, source, churn, sybil } => {
-            noted(Dispatch::Reply(handle_register(shared, &name, source, churn, sybil)))
+            Dispatch::Reply(handle_register(shared, &name, source, churn, sybil))
         }
-        Request::Analyze { snapshot, sections, options, client, as_of } => noted(
-            Dispatch::Reply(handle_analyze(shared, &snapshot, sections, options, &client, as_of)),
-        ),
+        Request::Analyze { snapshot, sections, options, client, as_of } => {
+            Dispatch::Reply(handle_analyze(shared, &snapshot, sections, options, &client, as_of))
+        }
         Request::Detect { snapshot, client, as_of, top_k } => {
-            noted(Dispatch::Reply(handle_detect(shared, &snapshot, &client, as_of, top_k)))
+            Dispatch::Reply(handle_detect(shared, &snapshot, &client, as_of, top_k))
         }
-        Request::Status { snapshot } => {
-            noted(Dispatch::Reply(handle_status(shared, snapshot.as_deref())))
-        }
+        Request::Status { snapshot } => Dispatch::Reply(handle_status(shared, snapshot.as_deref())),
         Request::Metrics { snapshot, format } => {
-            noted(Dispatch::Reply(handle_metrics(shared, snapshot.as_deref(), format)))
+            Dispatch::Reply(handle_metrics(shared, snapshot.as_deref(), format))
         }
         Request::Watch { snapshot, interval_ms, frames } => {
             if let Some(name) = &snapshot {
                 if shared.shards.get(name).is_none() {
-                    return noted(Dispatch::Reply(error_reply(&VnetError::UnknownSnapshot(
-                        name.clone(),
-                    ))));
+                    return Dispatch::Reply(error_reply(&VnetError::UnknownSnapshot(name.clone())));
                 }
             }
             shared.obs.inc_by("serve.watch_sessions", &[], 1);
@@ -373,7 +351,7 @@ pub(crate) fn handle_line(shared: &Arc<Shared>, line: &str) -> Dispatch {
         }
         Request::Shutdown => {
             drain_and_stop(shared);
-            noted(Dispatch::ReplyThenStop("{\"ok\":true,\"drained\":true}".to_string()))
+            Dispatch::ReplyThenStop("{\"ok\":true,\"drained\":true}".to_string())
         }
     }
 }
@@ -701,16 +679,17 @@ fn section_bytes(
             let payload_json =
                 serde_json::to_string(&payload).expect("section payloads serialize");
             let fingerprint = fingerprint_str(&payload_json);
-            let value = Arc::new(CachedSection { payload_json, fingerprint });
-            {
+            let fresh = Arc::new(CachedSection { payload_json, fingerprint });
+            let value = {
                 let mut cache = shard.cache.lock().expect("cache lock");
-                let evicted = cache.insert(key, Arc::clone(&value));
+                let (value, evicted) = cache.insert(key, fresh);
                 if evicted > 0 {
                     shared.obs.inc_by("cache.evictions", &[], evicted as u64);
                     shared.obs.inc_by("cache.evictions", shard_label, evicted as u64);
                 }
                 shared.obs.set_counter("cache.entries", shard_label, cache.len() as u64);
-            }
+                value
+            };
             // The unlabelled total sums every shard's cache (locks taken
             // one at a time, after this shard's guard is released).
             let total: usize = shared
@@ -903,7 +882,8 @@ fn compute_detect_reply(
             value.payload_json,
         )
     };
-    if let Some(hit) = sybil.cached(day, top_k) {
+    let cached = sybil.cache.lock().expect("detect cache lock").get(&(day, top_k));
+    if let Some(hit) = cached {
         shared.stats.telemetry.inc(shared.stats.cache_hits);
         shared.stats.telemetry.inc(shard.stats.hits);
         return envelope(&hit);
@@ -915,6 +895,7 @@ fn compute_detect_reply(
         });
     }
     shared.obs.inc_by("cache.misses", &[], 1);
+    shared.obs.inc("cache.misses", &[("shard", &shard.name)]);
     let (data, materialized) = match temporal.day_data(day, base) {
         Ok(resolved) => resolved,
         Err(e) => return error_reply(&e),
@@ -930,8 +911,8 @@ fn compute_detect_reply(
     let eval = evaluate(&report, &sybil.labels.sybils());
     let payload_json = render_detect_payload(&report, &eval, data.fingerprint, top_k);
     let fingerprint = fingerprint_str(&payload_json);
-    let value = Arc::new(CachedSection { payload_json, fingerprint });
-    sybil.insert(day, top_k, Arc::clone(&value));
+    let fresh = Arc::new(CachedSection { payload_json, fingerprint });
+    let (value, _) = sybil.cache.lock().expect("detect cache lock").insert((day, top_k), fresh);
     envelope(&value)
 }
 

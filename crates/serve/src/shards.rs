@@ -1,7 +1,7 @@
 //! The sharded snapshot registry.
 //!
 //! Every registered snapshot name is a **shard**: its own bounded-queue
-//! worker-pool [`Executor`], its own LRU [`ResultCache`], and its own
+//! worker-pool [`Executor`], its own section cache, and its own
 //! single-flight [`FlightMap`]. Work for one snapshot therefore queues,
 //! caches, and coalesces entirely inside its shard — a hot snapshot can
 //! saturate its own queue (`queue_full` for *its* clients) without
@@ -15,6 +15,16 @@
 //! fork-join pool is scoped per call, so concurrent shards never block
 //! each other there — the scarce resources a shard isolates are queue
 //! slots and worker threads.
+//!
+//! A shard keeps up to three caches, each a `Mutex<Lru<…>>` over the one
+//! [`Lru`] type, each with its own capacity so one kind of value never
+//! evicts another:
+//!
+//! | cache | key → value | capacity |
+//! |---|---|---|
+//! | section cache | `CacheKey → Arc<CachedSection>` | `ServerConfig::cache_capacity` |
+//! | day-graph cache ([`TemporalState`]) | churn day → `Arc<SnapshotData>` | `DAY_CACHE_CAPACITY` |
+//! | detect reply cache ([`SybilState`]) | `(day, top_k)` → `Arc<CachedSection>` | `DETECT_CACHE_CAPACITY` |
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -25,7 +35,7 @@ use vnet_obs::Obs;
 use vnet_synth::PlantedLabels;
 use vnet_temporal::Timeline;
 
-use crate::cache::{CachedSection, ResultCache};
+use crate::cache::{CacheKey, CachedSection, Lru};
 use crate::executor::{Executor, ExecutorTelemetry};
 use crate::flight::FlightMap;
 use crate::stats::{ServeStats, ShardStats};
@@ -42,7 +52,7 @@ pub(crate) struct ShardLimits {
     pub(crate) workers: usize,
     /// Waiting slots in the executor's bounded queue.
     pub(crate) queue_depth: usize,
-    /// LRU result-cache entries.
+    /// Section-cache entries.
     pub(crate) cache_capacity: usize,
 }
 
@@ -68,8 +78,8 @@ pub(crate) struct SybilState {
     /// `daily_follows[d]` = the `(source, target)` follow events of churn
     /// day `d + 1`, in event order — the burst scorer's attribution.
     pub(crate) daily_follows: Vec<Vec<(NodeId, NodeId)>>,
-    cache: Mutex<Vec<((u32, usize), Arc<CachedSection>, u64)>>,
-    clock: Mutex<u64>,
+    /// Rendered `detect` payloads keyed `(day, top_k)`.
+    pub(crate) cache: Mutex<Lru<(u32, usize), Arc<CachedSection>>>,
 }
 
 impl SybilState {
@@ -77,46 +87,7 @@ impl SybilState {
         labels: PlantedLabels,
         daily_follows: Vec<Vec<(NodeId, NodeId)>>,
     ) -> Self {
-        Self { labels, daily_follows, cache: Mutex::new(Vec::new()), clock: Mutex::new(0) }
-    }
-
-    fn tick(&self) -> u64 {
-        let mut clock = self.clock.lock().expect("detect clock lock");
-        *clock += 1;
-        *clock
-    }
-
-    /// Cached rendered payload for `(day, top_k)`, marking it
-    /// most-recently-used on a hit.
-    pub(crate) fn cached(&self, day: u32, top_k: usize) -> Option<Arc<CachedSection>> {
-        let tick = self.tick();
-        let mut cache = self.cache.lock().expect("detect cache lock");
-        cache.iter_mut().find(|(k, _, _)| *k == (day, top_k)).map(|entry| {
-            entry.2 = tick;
-            Arc::clone(&entry.1)
-        })
-    }
-
-    /// Insert a rendered payload, evicting the least-recently-used entry
-    /// past capacity. A concurrent insert of the same key keeps the first
-    /// copy (detection is deterministic, the bytes are identical).
-    pub(crate) fn insert(&self, day: u32, top_k: usize, value: Arc<CachedSection>) {
-        let tick = self.tick();
-        let mut cache = self.cache.lock().expect("detect cache lock");
-        if let Some(entry) = cache.iter_mut().find(|(k, _, _)| *k == (day, top_k)) {
-            entry.2 = tick;
-            return;
-        }
-        cache.push(((day, top_k), value, tick));
-        if cache.len() > DETECT_CACHE_CAPACITY {
-            let oldest = cache
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, _, used))| *used)
-                .map(|(i, _)| i)
-                .expect("non-empty over capacity");
-            cache.swap_remove(oldest);
-        }
+        Self { labels, daily_follows, cache: Mutex::new(Lru::new(DETECT_CACHE_CAPACITY)) }
     }
 }
 
@@ -129,19 +100,12 @@ pub(crate) struct TemporalState {
     pub(crate) seed: u64,
     /// Planted sybil workload, when registered with `sybil:true`.
     pub(crate) sybil: Option<Arc<SybilState>>,
-    day_cache: Mutex<Vec<(u32, Arc<SnapshotData>, u64)>>,
-    day_clock: Mutex<u64>,
+    day_cache: Mutex<Lru<u32, Arc<SnapshotData>>>,
 }
 
 impl TemporalState {
     pub(crate) fn new(timeline: Timeline, seed: u64) -> Self {
-        Self {
-            timeline,
-            seed,
-            sybil: None,
-            day_cache: Mutex::new(Vec::new()),
-            day_clock: Mutex::new(0),
-        }
+        Self { timeline, seed, sybil: None, day_cache: Mutex::new(Lru::new(DAY_CACHE_CAPACITY)) }
     }
 
     /// Attach the planted workload's ground truth and attribution.
@@ -159,17 +123,8 @@ impl TemporalState {
         day: u32,
         base: &SnapshotData,
     ) -> Result<(Arc<SnapshotData>, bool), VnetError> {
-        let tick = {
-            let mut clock = self.day_clock.lock().expect("day clock lock");
-            *clock += 1;
-            *clock
-        };
-        {
-            let mut cache = self.day_cache.lock().expect("day cache lock");
-            if let Some(entry) = cache.iter_mut().find(|(d, _, _)| *d == day) {
-                entry.2 = tick;
-                return Ok((Arc::clone(&entry.1), false));
-            }
+        if let Some(hit) = self.day_cache.lock().expect("day cache lock").get(&day) {
+            return Ok((hit, false));
         }
         // Materialize outside the cache lock: replays take milliseconds
         // and concurrent requests for *different* days shouldn't serialize.
@@ -180,23 +135,10 @@ impl TemporalState {
         let dataset = Dataset { graph, ..base.dataset.clone() };
         let fingerprint = dataset.fingerprint();
         let data = Arc::new(SnapshotData { dataset, fingerprint });
-        let mut cache = self.day_cache.lock().expect("day cache lock");
-        if let Some(entry) = cache.iter_mut().find(|(d, _, _)| *d == day) {
-            // A concurrent materialization of the same day won the race;
-            // serve its copy so all readers share one allocation.
-            entry.2 = tick;
-            return Ok((Arc::clone(&entry.1), true));
-        }
-        cache.push((day, Arc::clone(&data), tick));
-        if cache.len() > DAY_CACHE_CAPACITY {
-            let oldest = cache
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, _, used))| *used)
-                .map(|(i, _)| i)
-                .expect("non-empty over capacity");
-            cache.swap_remove(oldest);
-        }
+        // A concurrent materialization of the same day may have won the
+        // race; the insert then hands back its copy so all readers share
+        // one allocation (this call still paid for a replay).
+        let (data, _) = self.day_cache.lock().expect("day cache lock").insert(day, data);
         Ok((data, true))
     }
 }
@@ -207,7 +149,7 @@ pub(crate) struct Shard {
     data: Mutex<Arc<SnapshotData>>,
     temporal: Mutex<Option<Arc<TemporalState>>>,
     pub(crate) executor: Executor,
-    pub(crate) cache: Mutex<ResultCache>,
+    pub(crate) cache: Mutex<Lru<CacheKey, Arc<CachedSection>>>,
     pub(crate) flights: Arc<FlightMap>,
     /// This shard's labelled hot-path counters (interned once here; the
     /// request path records through them lock-free).
@@ -229,7 +171,7 @@ impl Shard {
             data: Mutex::new(Arc::new(SnapshotData { dataset, fingerprint })),
             temporal: Mutex::new(None),
             executor: Executor::new(limits.workers, limits.queue_depth, obs, name, exec_telemetry),
-            cache: Mutex::new(ResultCache::new(limits.cache_capacity)),
+            cache: Mutex::new(Lru::new(limits.cache_capacity)),
             flights: Arc::new(FlightMap::new()),
             stats: stats.shard_stats(name),
         }
@@ -343,16 +285,8 @@ mod tests {
         // Warm the cache, then re-register: the shard object (and its
         // cache) survives, only the dataset handle is swapped.
         shard.cache.lock().expect("cache").insert(
-            crate::cache::CacheKey {
-                dataset: fp,
-                options: 1,
-                section: verified_net::Section::Basic,
-                day: None,
-            },
-            Arc::new(crate::cache::CachedSection {
-                payload_json: "{}".to_string(),
-                fingerprint: 0,
-            }),
+            CacheKey { dataset: fp, options: 1, section: verified_net::Section::Basic, day: None },
+            Arc::new(CachedSection { payload_json: "{}".to_string(), fingerprint: 0 }),
         );
         let fp2 = registry.register("a", ds.clone(), None, LIMITS, &obs, &stats);
         assert_eq!(fp2, fp);
@@ -363,6 +297,79 @@ mod tests {
 
         // Shutdown the executor so its worker threads are joined.
         shard.executor.shutdown_and_join(String::new);
+    }
+
+    #[test]
+    fn day_cache_evicts_the_least_recently_used_day_at_capacity_4() {
+        assert_eq!(DAY_CACHE_CAPACITY, 4);
+        let base = dataset();
+        let stream = vnet_synth::ChurnStream::from_graph(
+            &base.graph,
+            vnet_synth::ChurnConfig::default(),
+        );
+        let engine = vnet_temporal::EngineConfig { compact_every: 7, refit_every: 7, pagerank: None };
+        let timeline = Timeline::build(stream, engine, 6, 7, &AnalysisCtx::quiet());
+        let temporal = TemporalState::new(timeline, 1);
+        let base = SnapshotData { fingerprint: base.fingerprint(), dataset: base };
+        let fetch = |day: u32| temporal.day_data(day, &base).expect("day within the horizon");
+
+        // Days 1-4 fill the cache; a repeat is a hit sharing the cached copy.
+        let (day1, fresh) = fetch(1);
+        assert!(fresh, "cold day 1 was not materialized");
+        for day in 2..=4 {
+            assert!(fetch(day).1, "cold day {day} was not materialized");
+        }
+        let (again, fresh) = fetch(1);
+        assert!(!fresh, "day 1 was materialized twice");
+        assert!(Arc::ptr_eq(&again, &day1));
+        // Day 5 evicts day 2, the least recently used (day 1 was touched).
+        assert!(fetch(5).1);
+        for (day, fresh) in [(1, false), (3, false), (4, false), (5, false), (2, true)] {
+            assert_eq!(fetch(day).1, fresh, "day {day}");
+        }
+        // Day 2 evicted day 1. Day 6 evicts day 3; a racing
+        // materialization of the resident day 2 keeps the first copy.
+        let (resident, _) = fetch(2);
+        let (racer, _) = fetch(6);
+        let kept = temporal.day_cache.lock().expect("day cache").insert(2, racer).0;
+        assert!(Arc::ptr_eq(&kept, &resident));
+        // A failed lookup inserts nothing: the resident days stay put.
+        assert!(temporal.day_data(7, &base).is_err(), "day 7 is beyond the horizon");
+        for day in [4, 5, 6, 2] {
+            assert!(!fetch(day).1, "day {day} was evicted");
+        }
+        assert_eq!(temporal.day_cache.lock().expect("day cache").len(), DAY_CACHE_CAPACITY);
+    }
+
+    #[test]
+    fn detect_cache_evicts_the_least_recently_used_reply_at_capacity_8() {
+        assert_eq!(DETECT_CACHE_CAPACITY, 8);
+        let labels =
+            PlantedLabels { ring_members: vec![], burst_accounts: vec![], customers: vec![] };
+        let sybil = SybilState::new(labels, vec![]);
+        let mut cache = sybil.cache.lock().expect("detect cache");
+        let reply = |day: u32| {
+            Arc::new(CachedSection { payload_json: format!("day{day}"), fingerprint: 0 })
+        };
+        for day in 0..8 {
+            assert_eq!(cache.insert((day, 20), reply(day)).1, 0);
+        }
+        // `top_k` is part of the key, and a get miss inserts nothing.
+        assert!(cache.get(&(0, 3)).is_none());
+        assert_eq!(cache.len(), 8);
+        // Touch day 0: day 1 becomes the victim, then day 2.
+        let first = cache.get(&(0, 20)).expect("day 0 resident");
+        assert_eq!(cache.insert((8, 20), reply(8)).1, 1);
+        assert!(cache.get(&(1, 20)).is_none());
+        assert_eq!(cache.insert((9, 20), reply(9)).1, 1);
+        assert!(cache.get(&(2, 20)).is_none());
+        for day in [0, 3, 4, 5, 6, 7, 8, 9] {
+            assert!(cache.get(&(day, 20)).is_some(), "day {day} evicted out of order");
+        }
+        // A duplicate insert keeps the first rendering.
+        let (kept, evicted) = cache.insert((0, 20), reply(0));
+        assert!(Arc::ptr_eq(&kept, &first));
+        assert_eq!((evicted, cache.len()), (0, 8));
     }
 
     #[test]

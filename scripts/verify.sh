@@ -29,8 +29,9 @@
 #                             (overlay/counter/dynamic-PageRank bit-identity),
 #                             the churn-replay + incremental-vs-scratch
 #                             integration battery, the as_of wire battery
-#                             (v1 envelope, deprecation note, churn oracle),
-#                             and the temporal-scoped clippy wall
+#                             (v1 envelope, unversioned-line rejection,
+#                             churn oracle), and the temporal-scoped
+#                             clippy wall
 #   scripts/verify.sh serve-soak
 #                             soak lane: the deterministic in-process
 #                             open-loop soak test plus a small-rate
@@ -45,10 +46,14 @@
 #                             detect wire battery, and the detect-scoped
 #                             clippy wall
 #   scripts/verify.sh         tier-1: release build + full quiet test suite
-#   scripts/verify.sh full    tier-1 plus the soak and obs-bench lanes,
-#                             clippy and rustdoc, warnings denied, and the compat
-#                             grep lint (deprecated *_observed shims live
-#                             only in compat.rs)
+#   scripts/verify.sh full    tier-1 plus the serve, temporal, serve-soak,
+#                             sybil, obs-bench and graph-scale lanes,
+#                             workspace clippy and rustdoc with warnings
+#                             denied, and the grep lints that keep deleted
+#                             APIs deleted (no *_observed entrypoint, no
+#                             #[deprecated] item, no unversioned-envelope
+#                             support; see the migration table in
+#                             docs/API.md)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -124,6 +129,7 @@ tier1)
 full)
     cargo build --release
     cargo test -q
+    "$0" serve
     "$0" temporal
     "$0" serve-soak
     "$0" sybil
@@ -143,6 +149,13 @@ full)
     if grep -rn --include='*.rs' '#\[deprecated' crates/; then
         echo "error: deprecated shim reintroduced in crates/" >&2
         echo "       (delete the old name; see the migration table in docs/API.md)" >&2
+        exit 1
+    fi
+    # The unversioned request envelope was deleted: a line without "v":1
+    # is refused, so its deprecation note and counter stay gone too.
+    if grep -rn --include='*.rs' -E 'DEPRECATION_NOTE|legacy_requests' crates/ tests/ examples/; then
+        echo "error: unversioned-envelope support reintroduced" >&2
+        echo "       (every request carries {\"v\":1,...}; see the migration table in docs/API.md)" >&2
         exit 1
     fi
     ;;

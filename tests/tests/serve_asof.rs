@@ -1,16 +1,16 @@
 //! Loopback battery for the v1 wire envelope and the time-travel
-//! (`as_of`) serve path: envelope goldens, strict unknown-key rejection,
-//! the legacy deprecation note's exact bytes, end-to-end `as_of` replies
-//! checked against an out-of-process churn oracle (zero divergence over
-//! a mini-soak), the delta-aware cache's `serve.asof_cache_hits`
-//! accounting, and the canonicalized-cache-key regression (key order,
-//! whitespace, and envelope generation never cause a spurious miss).
+//! (`as_of`) serve path: strict unknown-key rejection, the rejection of
+//! unversioned lines, end-to-end `as_of` replies checked against an
+//! out-of-process churn oracle (zero divergence over a mini-soak), the
+//! delta-aware cache's `serve.asof_cache_hits` accounting, and the
+//! canonicalized-cache-key regression (key order, whitespace, and
+//! explicitly spelled defaults never cause a spurious miss).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::OnceLock;
 use verified_net::{AnalysisCtx, Dataset, SynthesisConfig};
-use vnet_serve::{Server, ServerConfig, DEPRECATION_NOTE};
+use vnet_serve::{Server, ServerConfig};
 use vnet_synth::{ChurnConfig, ChurnStream};
 
 fn dataset() -> &'static Dataset {
@@ -57,38 +57,29 @@ fn error_code(reply: &str) -> String {
 }
 
 #[test]
-fn legacy_replies_carry_the_deprecation_note_and_v1_replies_do_not() {
+fn unversioned_lines_are_rejected_like_unsupported_versions() {
     let handle = start();
     handle.register_dataset("snap", dataset().clone());
     let mut c = Client::connect(handle.local_addr());
 
-    // Golden bytes: the note lands immediately after the `ok` field.
-    let legacy = c.req(r#"{"cmd":"status"}"#);
-    let expected_prefix = format!(
-        "{{\"ok\":true,\"deprecation\":{}",
-        serde_json::to_string(DEPRECATION_NOTE).unwrap()
-    );
-    assert!(
-        legacy.starts_with(&expected_prefix),
-        "legacy status reply lost the deprecation note: {legacy}"
-    );
+    // A line without `"v"` gets exactly the unsupported-version reply,
+    // and that reply names the v1 envelope.
+    let unversioned = c.req(r#"{"cmd":"status"}"#);
+    assert_eq!(error_code(&unversioned), "invalid_input", "reply: {unversioned}");
+    let message = json(&unversioned)["error"]["message"].as_str().unwrap_or("").to_string();
+    assert!(message.contains(r#"{"v":1,"cmd":...}"#), "reply: {unversioned}");
+    assert_eq!(unversioned, c.req(r#"{"v":2,"cmd":"status"}"#));
 
-    let v1 = c.req(r#"{"v":1,"cmd":"status"}"#);
-    assert!(!v1.contains("deprecation"), "v1 reply must not carry the note: {v1}");
-
-    // Stripping the note must recover the exact v1 bytes: the two paths
-    // share one handler and differ only by the annotation.
-    let stripped = legacy.replacen(
-        &format!(",\"deprecation\":{}", serde_json::to_string(DEPRECATION_NOTE).unwrap()),
-        "",
-        1,
-    );
-    assert_eq!(stripped, v1, "legacy reply is not the v1 reply plus a note");
-
-    // Error replies from parsed legacy requests are annotated too.
+    // Rejected before routing: an unknown snapshot is not even looked up.
     let err = c.req(r#"{"cmd":"analyze","snapshot":"ghost","sections":["basic"]}"#);
-    assert_eq!(error_code(&err), "unknown_snapshot");
-    assert!(err.contains("deprecation"), "legacy error reply lost the note: {err}");
+    assert_eq!(err, unversioned);
+
+    // The same request under v1 is served.
+    let v1 = c.req(r#"{"v":1,"cmd":"status"}"#);
+    assert_eq!(json(&v1)["ok"].as_bool(), Some(true), "reply: {v1}");
+
+    let metrics = c.req(r#"{"v":1,"cmd":"metrics"}"#);
+    assert_eq!(counter(&metrics, "serve.bad_requests"), 3, "metrics: {metrics}");
 
     handle.shutdown();
     handle.join();
@@ -116,11 +107,10 @@ fn v1_rejects_unknown_keys_and_versions_with_invalid_input() {
     let reply = c.req(r#"{"v":2,"cmd":"status"}"#);
     assert_eq!(error_code(&reply), "invalid_input", "reply: {reply}");
 
-    // The same misspelled option under the legacy envelope still works
-    // (lenient by contract), annotated with the deprecation note.
+    // Dropping the envelope is no way around the strict key check.
     let reply =
         c.req(r#"{"cmd":"analyze","snapshot":"snap","sections":["basic"],"options":{"boostrap_reps":4}}"#);
-    assert_eq!(json(&reply)["ok"].as_bool(), Some(true), "reply: {reply}");
+    assert_eq!(error_code(&reply), "invalid_input", "reply: {reply}");
 
     handle.shutdown();
     handle.join();
@@ -211,13 +201,13 @@ fn equivalent_requests_share_one_cache_entry_regardless_of_spelling() {
     handle.register_dataset("s", dataset().clone());
     let mut c = Client::connect(handle.local_addr());
 
-    // One semantic request, four spellings: v1 canonical order, v1
-    // shuffled key order, v1 with whitespace, and the legacy envelope.
+    // One semantic request, four spellings: canonical order, shuffled key
+    // order, whitespace, and the default options preset spelled out.
     let spellings = [
         r#"{"v":1,"cmd":"analyze","snapshot":"s","sections":["basic"],"options":{"seed":5}}"#,
         r#"{"options":{"seed":5},"sections":["basic"],"snapshot":"s","cmd":"analyze","v":1}"#,
         r#"  {"v": 1, "cmd": "analyze", "snapshot": "s", "sections": ["basic"], "options": {"seed": 5}}  "#,
-        r#"{"cmd":"analyze","snapshot":"s","sections":["basic"],"options":{"seed":5}}"#,
+        r#"{"v":1,"cmd":"analyze","snapshot":"s","sections":["basic"],"options":{"preset":"quick","seed":5}}"#,
     ];
     let mut sections = Vec::new();
     for line in spellings {

@@ -76,7 +76,7 @@ fn slow_writer_request_survives_read_timeout_ticks() {
     let handle = start(ServerConfig::default());
     let mut c = Client::connect(handle.local_addr());
 
-    let request = b"{\"cmd\":\"status\"}\n";
+    let request = b"{\"v\":1,\"cmd\":\"status\"}\n";
     for &byte in request.iter() {
         c.writer.write_all(&[byte]).expect("send one byte");
         c.writer.flush().expect("flush one byte");

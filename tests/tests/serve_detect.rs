@@ -2,8 +2,9 @@
 //! registration (`sybil:true` plants the calibrated workload and rides
 //! its campaigns on the churn timeline), the v1 `detect` command's
 //! envelope, day-awareness via `as_of`, reply-byte determinism (the
-//! detect cache must replay the exact bytes a cold run produced), and
-//! the structured errors for snapshots without a planted workload.
+//! detect cache must replay the exact bytes a cold run produced), the
+//! detect cache's shard-labelled hit/miss counters, and the structured
+//! errors for snapshots without a planted workload.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -103,6 +104,12 @@ fn detect_round_trip_day_awareness_and_errors() {
     // path).
     let again = c.req(r#"{"v":1,"cmd":"detect","snapshot":"adv"}"#);
     assert_eq!(detect, again, "detect reply bytes changed on repeat");
+
+    // That miss and that hit are both counted under the shard's label,
+    // so the shard's labelled hit ratio covers detect traffic.
+    let metrics = json(&c.req(r#"{"v":1,"cmd":"metrics","snapshot":"adv"}"#));
+    assert_eq!(metrics["counters"]["cache.misses{shard=adv}"].as_u64(), Some(1));
+    assert_eq!(metrics["counters"]["cache.hits{shard=adv}"].as_u64(), Some(1));
 
     // Day-awareness: an early-day view is a different (cached-separately)
     // result with its own envelope day.

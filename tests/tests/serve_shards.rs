@@ -51,7 +51,7 @@ impl Client {
 /// enough that queue occupancy is observable from outside.
 fn slow_analyze(snapshot: &str, seed: u64) -> String {
     format!(
-        "{{\"cmd\":\"analyze\",\"snapshot\":\"{snapshot}\",\"sections\":[\"centrality\"],\"options\":{{\"seed\":{seed},\"betweenness_pivots\":64}}}}"
+        "{{\"v\":1,\"cmd\":\"analyze\",\"snapshot\":\"{snapshot}\",\"sections\":[\"centrality\"],\"options\":{{\"seed\":{seed},\"betweenness_pivots\":64}}}}"
     )
 }
 
@@ -59,7 +59,7 @@ fn slow_analyze(snapshot: &str, seed: u64) -> String {
 fn wait_for_occupancy(c: &mut Client, snapshot: &str, queued: u64, running: u64) {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        let status = c.req(&format!("{{\"cmd\":\"status\",\"snapshot\":\"{snapshot}\"}}"));
+        let status = c.req(&format!("{{\"v\":1,\"cmd\":\"status\",\"snapshot\":\"{snapshot}\"}}"));
         let v: serde_json::Value = serde_json::from_str(&status).expect("status parse");
         if v["shard"]["queued"].as_u64() == Some(queued)
             && v["shard"]["running"].as_u64() == Some(running)
