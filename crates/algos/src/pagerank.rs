@@ -7,14 +7,19 @@
 //! dangling mass (users who follow nobody, the celebrity cores of the
 //! attracting components) is redistributed uniformly, the standard Google
 //! formulation.
+//!
+//! [`power_iteration`] is the one power-iteration loop in the workspace:
+//! [`pagerank`] runs it over a frozen CSR, and `vnet-temporal`'s
+//! `dynamic_pagerank` runs it warm-started over its delta overlay through
+//! the [`PullGraph`] trait.
 
 use vnet_ctx::AnalysisCtx;
-use vnet_graph::DiGraph;
-use vnet_par::{ParPool, ParStats};
+use vnet_graph::{DiGraph, NodeId};
+use vnet_par::ParStats;
 
-/// Rows (nodes) per fork-join task in the pull loop and the chunked sums.
-/// Fixed per call site: the partial-sum boundaries — and therefore the
-/// floating-point reduction order — depend on `n` only, never on the
+/// Rows (nodes) per fork-join task in [`pagerank`]'s pull loop and chunked
+/// sums. Fixed per call site: the partial-sum boundaries — and therefore
+/// the floating-point reduction order — depend on `n` only, never on the
 /// thread count. Small graphs (`n <= ROW_CHUNK`) decompose into a single
 /// task, which the pool runs inline with zero spawn overhead.
 const ROW_CHUNK: usize = 8192;
@@ -50,15 +55,50 @@ pub struct PageRankResult {
     pub edge_relaxations: u64,
 }
 
+/// A graph [`power_iteration`] can pull over: node/edge counts,
+/// out-degrees, and an ascending-order fold over in-neighbors.
+///
+/// Implemented here for `&DiGraph` (CSR slices) and in `vnet-temporal` for
+/// its delta overlay (merged iteration). Both visit in-neighbors in the
+/// same ascending order, which is the whole determinism argument: an
+/// overlay and its compacted CSR yield the same bits.
+pub trait PullGraph: Sync {
+    /// Number of nodes.
+    fn node_count(&self) -> usize;
+    /// Number of live directed edges.
+    fn edge_count(&self) -> u64;
+    /// Out-degree of `u`.
+    fn out_degree(&self, u: NodeId) -> usize;
+    /// Sum `contrib[u]` over in-neighbors `u` of `v`, ascending.
+    fn pull_sum(&self, v: NodeId, contrib: &[f64]) -> f64;
+}
+
+impl PullGraph for &DiGraph {
+    fn node_count(&self) -> usize {
+        DiGraph::node_count(self)
+    }
+    fn edge_count(&self) -> u64 {
+        DiGraph::edge_count(self) as u64
+    }
+    fn out_degree(&self, u: NodeId) -> usize {
+        DiGraph::out_degree(self, u)
+    }
+    fn pull_sum(&self, v: NodeId, contrib: &[f64]) -> f64 {
+        let mut acc = 0.0;
+        for &u in self.in_neighbors(v) {
+            acc += contrib[u as usize];
+        }
+        acc
+    }
+}
+
 /// Power-iteration PageRank over out-edges.
 ///
-/// The canonical context-taking entrypoint: the pull loop shards rows into
-/// `ROW_CHUNK`-sized tasks over the context's pool (each row's accumulator
-/// is private, so sharding cannot change any value), and the dangling-mass
-/// and convergence-delta sums are chunked reductions folded in task order.
-/// The scores are bit-identical at any thread count. Work counters
-/// (`algo.pagerank.*`) and par accounting (stage `pagerank`) land on the
-/// context's observability handle.
+/// The canonical context-taking entrypoint: [`power_iteration`] over the
+/// CSR with a uniform start, sharding rows into `ROW_CHUNK`-sized tasks
+/// over the context's pool. The scores are bit-identical at any thread
+/// count. Work counters (`algo.pagerank.*`) and par accounting (stage
+/// `pagerank`) land on the context's observability handle.
 ///
 /// # Examples
 /// ```
@@ -75,7 +115,7 @@ pub struct PageRankResult {
 /// ```
 pub fn pagerank(g: &DiGraph, cfg: PageRankConfig, ctx: &AnalysisCtx) -> PageRankResult {
     let started = std::time::Instant::now();
-    let (result, stats) = pagerank_impl(g, cfg, ctx.pool(), ctx.scratch());
+    let (result, stats) = power_iteration(g, cfg, None, ROW_CHUNK, ctx);
     let obs = ctx.obs();
     obs.set_counter("algo.pagerank.iterations", &[], result.iterations as u64);
     obs.set_counter("algo.pagerank.edge_relaxations", &[], result.edge_relaxations);
@@ -84,11 +124,24 @@ pub fn pagerank(g: &DiGraph, cfg: PageRankConfig, ctx: &AnalysisCtx) -> PageRank
     result
 }
 
-fn pagerank_impl(
-    g: &DiGraph,
+/// The PageRank power iteration over any [`PullGraph`], started from
+/// `warm` when given (the previous converged rank vector: length `n`,
+/// summing to ~1) and uniform otherwise.
+///
+/// Each iteration divides once per node (`rank[u] / out_deg[u]` into a
+/// contributions vector), sums the dangling mass, pulls the contributions
+/// over in-neighbors in ascending order, and sums the L1 delta. Rows are
+/// sharded into `chunk`-sized tasks on the context's pool; every sum is a
+/// chunked reduction folded in task order, so the scores depend on `n`
+/// and `chunk` only, never on the thread count. Working vectors come from
+/// the context's scratch arena. Callers publish their own counters from
+/// the returned result and par stats.
+pub fn power_iteration<G: PullGraph>(
+    g: G,
     cfg: PageRankConfig,
-    pool: &ParPool,
-    scratch: &vnet_ctx::ScratchArena,
+    warm: Option<&[f64]>,
+    chunk: usize,
+    ctx: &AnalysisCtx,
 ) -> (PageRankResult, ParStats) {
     let n = g.node_count();
     if n == 0 {
@@ -101,16 +154,25 @@ fn pagerank_impl(
         return (result, ParStats::default());
     }
     assert!((0.0..1.0).contains(&cfg.damping), "damping must be in [0, 1)");
+    if let Some(w) = warm {
+        assert_eq!(w.len(), n, "warm rank vector must match node count");
+    }
+    let pool = ctx.pool();
+    let scratch = ctx.scratch();
     let nf = n as f64;
     // Working vectors come from the context's scratch arena: a serve worker
-    // or bootstrap loop calling PageRank repeatedly reuses the same three
-    // allocations instead of churning 3 × 8n bytes per call.
+    // or bootstrap loop calling PageRank repeatedly reuses the same four
+    // allocations instead of churning 4 × 8n bytes per call.
     let mut rank = scratch.take_f64(n);
-    rank.fill(1.0 / nf);
+    match warm {
+        Some(w) => rank.copy_from_slice(w),
+        None => rank.fill(1.0 / nf),
+    }
     let mut next = scratch.take_f64(n);
+    let mut contrib = scratch.take_f64(n);
     let mut out_deg = scratch.take_f64(n);
     for (u, slot) in out_deg.iter_mut().enumerate() {
-        *slot = g.out_degree(u as u32) as f64;
+        *slot = g.out_degree(u as NodeId) as f64;
     }
 
     let mut iterations = 0;
@@ -119,41 +181,47 @@ fn pagerank_impl(
     let mut par_stats = ParStats::default();
     while iterations < cfg.max_iter {
         iterations += 1;
-        edge_relaxations += g.edge_count() as u64;
+        edge_relaxations += g.edge_count();
+        // One division per node per iteration; the pull loop then only adds.
+        {
+            let rank_ref = &rank;
+            let out_ref = &out_deg;
+            let s = pool.for_each_chunk_mut(&mut contrib, chunk, |_task, offset, rows| {
+                for (k, slot) in rows.iter_mut().enumerate() {
+                    let u = offset + k;
+                    *slot = if out_ref[u] == 0.0 { 0.0 } else { rank_ref[u] / out_ref[u] };
+                }
+            });
+            par_stats.merge(s);
+        }
         // Dangling mass: nodes without out-edges leak their rank uniformly.
         let (dangling, s) = pool.map_reduce_chunks(
             n,
-            ROW_CHUNK,
-            |_task, range| {
-                range.filter(|&u| out_deg[u] == 0.0).map(|u| rank[u]).sum::<f64>()
-            },
+            chunk,
+            |_task, range| range.filter(|&u| out_deg[u] == 0.0).map(|u| rank[u]).sum::<f64>(),
             0.0f64,
             |acc, partial| acc + partial,
         );
         par_stats.merge(s);
         let base = (1.0 - cfg.damping) / nf + cfg.damping * dangling / nf;
-        // Pull formulation over in-edges: cache-friendly reads of rank.
-        // Each task owns a disjoint shard of `next`; every row's value is
-        // computed independently, so the shard layout is irrelevant to the
-        // result.
-        let rank_ref = &rank;
-        let s = pool.for_each_chunk_mut(&mut next, ROW_CHUNK, |_task, offset, chunk| {
-            for (k, slot) in chunk.iter_mut().enumerate() {
-                let v = (offset + k) as u32;
-                let mut acc = 0.0;
-                for &u in g.in_neighbors(v) {
-                    acc += rank_ref[u as usize] / out_deg[u as usize];
+        // Pull over in-edges: each task owns a disjoint shard of `next` and
+        // every row is computed independently, so the shard layout cannot
+        // change a value.
+        {
+            let g_ref = &g;
+            let contrib_ref = &contrib;
+            let s = pool.for_each_chunk_mut(&mut next, chunk, |_task, offset, rows| {
+                for (k, slot) in rows.iter_mut().enumerate() {
+                    let v = (offset + k) as NodeId;
+                    *slot = base + cfg.damping * g_ref.pull_sum(v, contrib_ref);
                 }
-                *slot = base + cfg.damping * acc;
-            }
-        });
-        par_stats.merge(s);
+            });
+            par_stats.merge(s);
+        }
         let (delta, s) = pool.map_reduce_chunks(
             n,
-            ROW_CHUNK,
-            |_task, range| {
-                range.map(|u| (rank[u] - next[u]).abs()).sum::<f64>()
-            },
+            chunk,
+            |_task, range| range.map(|u| (rank[u] - next[u]).abs()).sum::<f64>(),
             0.0f64,
             |acc, partial| acc + partial,
         );
@@ -164,8 +232,9 @@ fn pagerank_impl(
             break;
         }
     }
-    // `rank` leaves as the result; the other two go back to the arena.
+    // `rank` leaves as the result; the others go back to the arena.
     scratch.put_f64(next);
+    scratch.put_f64(contrib);
     scratch.put_f64(out_deg);
     let result = PageRankResult { scores: rank, iterations, converged, edge_relaxations };
     (result, par_stats)
@@ -176,6 +245,7 @@ mod tests {
     use super::*;
     use vnet_graph::builder::from_edges;
     use vnet_graph::GraphBuilder;
+    use vnet_par::ParPool;
 
     fn run(g: &DiGraph) -> Vec<f64> {
         pagerank(g, PageRankConfig::default(), &AnalysisCtx::quiet()).scores

@@ -1,7 +1,7 @@
 //! Mutable graph construction, frozen into [`DiGraph`].
 
 use crate::csr::{DiGraph, NodeId};
-use crate::{GraphError, Result};
+use crate::{GraphError, Result, StreamingBuilder};
 
 /// Accumulates directed edges and freezes them into an immutable CSR
 /// [`DiGraph`].
@@ -11,12 +11,16 @@ use crate::{GraphError, Result};
 /// crawl retries cannot inflate edge counts.
 ///
 /// This is the *staged* builder: every edge is buffered as a `(u32, u32)`
-/// tuple until `build()`, which costs ~3× the final CSR size at peak.
-/// That is the right trade for incremental producers like the simulated
-/// crawler (one pass over the data, arbitrary arrival order). Producers
-/// that can replay their edge stream — generators, file loaders — should
-/// use [`StreamingBuilder`](crate::StreamingBuilder) instead, which peaks
-/// near 1× by counting degrees first; both freeze to identical graphs.
+/// tuple until `build()`, which replays the buffer through
+/// [`StreamingBuilder`] — so both freeze to identical graphs by
+/// construction. Staging costs 8 bytes per edge: the measured heap peak
+/// from the first `add_edge` through `build()` is 1.48× the final CSR
+/// (11.5 MB for the 23,124-node, 926,554-edge default-tier graph; 1.49× at
+/// the 5.2M-edge medium tier), against ~1.0× for a producer that drives
+/// [`StreamingBuilder`] itself. That is the right trade for incremental
+/// producers like the simulated crawler (one pass over the data, arbitrary
+/// arrival order); producers that can replay their edge stream —
+/// generators, file loaders — should stream instead.
 ///
 /// # Examples
 /// ```
@@ -92,43 +96,17 @@ impl GraphBuilder {
 
     /// Freeze into an immutable [`DiGraph`].
     ///
-    /// Runs in `O(E log E)` for the dedup sort plus two `O(V + E)` counting
-    /// passes for the forward and reverse CSR arrays.
-    pub fn build(mut self) -> DiGraph {
-        let n = self.n as usize;
-        // Dedup via sort; (u, v) lexicographic order also yields sorted
-        // adjacency lists for free.
-        self.edges.sort_unstable();
-        self.edges.dedup();
-        let m = self.edges.len();
-
-        let mut out_offsets = vec![0u64; n + 1];
-        for &(u, _) in &self.edges {
-            out_offsets[u as usize + 1] += 1;
-        }
-        for i in 0..n {
-            out_offsets[i + 1] += out_offsets[i];
-        }
-        let out_targets: Vec<NodeId> = self.edges.iter().map(|&(_, v)| v).collect();
-
-        // Reverse CSR: counting sort by target keeps each in-list sorted by
-        // source because we scan edges in (u, v) order.
-        let mut in_offsets = vec![0u64; n + 1];
-        for &(_, v) in &self.edges {
-            in_offsets[v as usize + 1] += 1;
-        }
-        for i in 0..n {
-            in_offsets[i + 1] += in_offsets[i];
-        }
-        let mut cursor = in_offsets.clone();
-        let mut in_sources = vec![0 as NodeId; m];
-        for &(u, v) in &self.edges {
-            let slot = cursor[v as usize];
-            in_sources[slot as usize] = u;
-            cursor[v as usize] += 1;
-        }
-
-        DiGraph::from_csr(self.n, out_offsets, out_targets, in_offsets, in_sources)
+    /// Replays the staged edges through [`StreamingBuilder`] — one pass to
+    /// count degrees, one to place each edge — and drops the staging
+    /// buffer before the per-node sort, dedup and reverse-CSR pass.
+    pub fn build(self) -> DiGraph {
+        let mut b = StreamingBuilder::new(self.n);
+        b.count_edges(self.edges.iter().copied()).expect("add_edge range-checked every edge");
+        b.seal_degrees().expect("sealed once");
+        b.place_edges(self.edges.iter().copied()).expect("pass 2 replays pass 1");
+        drop(self.edges);
+        let (graph, _) = b.finish().expect("pass 2 placed every counted edge");
+        graph
     }
 }
 

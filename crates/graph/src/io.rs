@@ -8,6 +8,7 @@
 
 use crate::builder::GraphBuilder;
 use crate::csr::{DiGraph, NodeId};
+use crate::streaming::stream_from_fn;
 use crate::{GraphError, Result};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -85,37 +86,49 @@ pub fn write_binary<W: Write>(g: &DiGraph, w: &mut W) -> Result<()> {
 }
 
 /// Read a graph in the compact binary format (`VNG1`).
-pub fn read_binary<R: Read>(r: R) -> Result<DiGraph> {
-    let mut r = BufReader::new(r);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if magic != MAGIC {
+///
+/// Reads the whole blob, then checks every declared count against the
+/// bytes actually present before sizing anything from it: a short or
+/// hostile blob is a [`GraphError::Io`] `UnexpectedEof`, never a huge
+/// allocation. The edges then stream straight into a
+/// [`StreamingBuilder`](crate::StreamingBuilder), with no tuple staging.
+pub fn read_binary<R: Read>(mut r: R) -> Result<DiGraph> {
+    let mut bytes = Vec::new();
+    r.read_to_end(&mut bytes)?;
+    let truncated = || GraphError::Io(std::io::ErrorKind::UnexpectedEof.into());
+    if bytes.get(..4).ok_or_else(truncated)? != MAGIC {
         return Err(GraphError::BadMagic);
     }
-    let mut b4 = [0u8; 4];
-    let mut b8 = [0u8; 8];
-    r.read_exact(&mut b4)?;
-    let n = u32::from_le_bytes(b4);
-    r.read_exact(&mut b8)?;
-    let m = u64::from_le_bytes(b8) as usize;
-    let mut degrees = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        r.read_exact(&mut b4)?;
-        degrees.push(u32::from_le_bytes(b4));
+    let header = bytes.get(4..16).ok_or_else(truncated)?;
+    let n = u32::from_le_bytes(header[..4].try_into().expect("4-byte slice"));
+    let m = u64::from_le_bytes(header[4..].try_into().expect("8-byte slice"));
+    let body = &bytes[16..];
+    // 4·n fits in u64, and in usize once it is known to fit in `body`.
+    let degree_len = 4 * u64::from(n);
+    if degree_len > body.len() as u64 {
+        return Err(truncated());
     }
-    let total: u64 = degrees.iter().map(|&d| d as u64).sum();
-    if total != m as u64 {
-        return Err(GraphError::DegreeSumMismatch { declared: m as u64, sum: total });
+    let (degree_bytes, targets) = body.split_at(degree_len as usize);
+    let total: u64 = words(degree_bytes).map(u64::from).sum();
+    if total != m {
+        return Err(GraphError::DegreeSumMismatch { declared: m, sum: total });
     }
-    let mut builder = GraphBuilder::with_capacity(n, m);
-    for (u, &d) in degrees.iter().enumerate() {
-        for _ in 0..d {
-            r.read_exact(&mut b4)?;
-            let v = u32::from_le_bytes(b4);
-            builder.add_edge(u as u32, v)?;
-        }
+    if m.checked_mul(4).is_none_or(|need| need > targets.len() as u64) {
+        return Err(truncated());
     }
-    Ok(builder.build())
+    let edges = || {
+        words(degree_bytes)
+            .enumerate()
+            .flat_map(|(u, d)| std::iter::repeat_n(u as NodeId, d as usize))
+            .zip(words(targets))
+    };
+    let (graph, _) = stream_from_fn(n, edges)?;
+    Ok(graph)
+}
+
+/// Little-endian `u32` words of `bytes` (a trailing partial word is ignored).
+fn words(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    bytes.chunks_exact(4).map(|w| u32::from_le_bytes(w.try_into().expect("4-byte chunk")))
 }
 
 /// Write a graph to `path` in binary format.
@@ -226,6 +239,43 @@ mod tests {
         write_binary(&g, &mut buf).unwrap();
         buf.truncate(buf.len() - 2);
         assert!(read_binary(&buf[..]).is_err());
+    }
+
+    #[test]
+    fn binary_counts_past_the_blob_are_truncation_not_allocation() {
+        // n = u32::MAX with no degrees present: 16 bytes once asked for a
+        // 17 GB degree vector.
+        let mut huge_n = MAGIC.to_vec();
+        huge_n.extend_from_slice(&u32::MAX.to_le_bytes());
+        huge_n.extend_from_slice(&0u64.to_le_bytes());
+        // One node whose degree (and m) is u32::MAX with no targets
+        // present: 20 bytes once asked for ~34 GB of staged edges.
+        let mut huge_m = MAGIC.to_vec();
+        huge_m.extend_from_slice(&1u32.to_le_bytes());
+        huge_m.extend_from_slice(&u64::from(u32::MAX).to_le_bytes());
+        huge_m.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!((huge_n.len(), huge_m.len()), (16, 20));
+        for blob in [huge_n, huge_m] {
+            match read_binary(&blob[..]) {
+                Err(GraphError::Io(e)) => {
+                    assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof)
+                }
+                other => panic!("expected UnexpectedEof, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn binary_rejects_out_of_range_targets() {
+        let mut buf = Vec::new();
+        write_binary(&sample(), &mut buf).unwrap();
+        // The last target (node 1, from 4 -> 1) becomes node 6 of 6.
+        let last = buf.len() - 4;
+        buf[last..].copy_from_slice(&6u32.to_le_bytes());
+        assert!(matches!(
+            read_binary(&buf[..]),
+            Err(GraphError::NodeOutOfRange { node: 6, count: 6 })
+        ));
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!   fits in well under a gigabyte.
 //! * [`GraphBuilder`] — the staged mutable entry point; deduplicates edges,
 //!   drops self-loops (Twitter has none: you cannot follow yourself) and
-//!   freezes into a [`DiGraph`].
+//!   freezes into a [`DiGraph`] by replaying its buffer through the
+//!   streaming builder.
 //! * [`StreamingBuilder`] — the two-pass streaming entry point for large
 //!   builds: counts degrees in pass one, counting-sorts edges straight
 //!   into the final CSR arenas in pass two — no intermediate tuple `Vec`,

@@ -1,12 +1,12 @@
 //! Streaming two-pass CSR construction.
 //!
 //! [`GraphBuilder`](crate::GraphBuilder) stages every edge in a
-//! `Vec<(u32, u32)>` — 8 bytes per staged edge — and then copies it twice
-//! more while freezing (once into the forward arena, once into the
-//! reverse), which puts its peak working set near 3× the final CSR size.
-//! That is fine at test scale and fatal at paper scale (79.2M edges).
+//! `Vec<(u32, u32)>` — 8 bytes per staged edge — before freezing, which
+//! puts its peak near 1.5× the final CSR size. That is fine at test scale
+//! and costly at paper scale (79.2M edges).
 //!
-//! [`StreamingBuilder`] removes the tuple staging entirely. The caller
+//! [`StreamingBuilder`] is the one CSR construction in the crate, and the
+//! staged builder freezes through it. With no tuple staging, the caller
 //! replays its edge stream twice:
 //!
 //! 1. **Count** — [`StreamingBuilder::count`] tallies out-degrees only;
@@ -31,8 +31,9 @@ use crate::{GraphError, Result};
 ///
 /// `peak_arena_bytes` counts every arena the builder had live at once
 /// (offsets, cursors, forward and reverse targets); for a graph with few
-/// duplicate edges it lands near `csr_bytes + 8·n` — far below the ~3×
-/// peak of the staged [`GraphBuilder`](crate::GraphBuilder) path.
+/// duplicate edges it lands near `csr_bytes + 8·n` — below the ~1.5×
+/// peak of the staged [`GraphBuilder`](crate::GraphBuilder) path, which
+/// adds its 8-byte-per-edge buffer on top.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StreamStats {
     /// Nodes in the finished graph.
@@ -51,11 +52,10 @@ pub struct StreamStats {
 /// Two-pass streaming CSR builder: count degrees, then counting-sort edges
 /// straight into the final arenas. No intermediate tuple `Vec`.
 ///
-/// Semantics match [`GraphBuilder`](crate::GraphBuilder) exactly:
-/// self-loops are silently dropped, duplicate edges are deduplicated, and
-/// out-of-range endpoints are rejected — the finished [`DiGraph`] is
-/// `==` to what the staged builder produces from the same edge multiset
-/// (the `graph-scale` verify lane pins this with a property test).
+/// Self-loops are silently dropped, duplicate edges are deduplicated, and
+/// out-of-range endpoints are rejected; [`GraphBuilder`](crate::GraphBuilder)
+/// freezes through this builder, so both yield `==` graphs from the same
+/// edge multiset.
 ///
 /// # Examples
 /// ```
@@ -209,8 +209,7 @@ impl StreamingBuilder {
     /// Sorts and deduplicates each node's segment in place (compacting the
     /// arena leftwards), then derives the reverse CSR with one counting
     /// sort over the finished forward CSR — scanning in `(u, sorted v)`
-    /// order leaves every in-list sorted by source for free, exactly like
-    /// [`GraphBuilder::build`](crate::GraphBuilder::build).
+    /// order leaves every in-list sorted by source for free.
     ///
     /// Errors with [`GraphError::StreamPass`] when pass 2 placed fewer
     /// edges for some node than pass 1 counted (or never ran).
@@ -235,9 +234,8 @@ impl StreamingBuilder {
         let staged = self.targets.len() as u64;
 
         // Per-node sort + dedup, compacting leftwards in place. Equivalent
-        // to the staged builder's global (u, v) sort + dedup: edges are
-        // already grouped by u, so only the v-order within each segment is
-        // left to establish.
+        // to a global (u, v) sort + dedup: edges are already grouped by u,
+        // so only the v-order within each segment is left to establish.
         let mut write = 0usize;
         let mut seg_start = 0usize;
         for u in 0..n {
@@ -411,7 +409,9 @@ mod tests {
 
     proptest! {
         // The streaming build and the Vec-staged build are the same
-        // function from edge multisets to graphs — byte-for-byte.
+        // function from edge multisets to graphs — byte-for-byte — and
+        // both match an ordered-set reference: deduplicated, loop-free,
+        // every adjacency list sorted in both directions.
         #[test]
         fn equivalent_to_staged_builder(n in 1u32..40,
                                         raw in proptest::collection::vec((0u32..40, 0u32..40), 0..400)) {
@@ -421,6 +421,17 @@ mod tests {
             prop_assert_eq!(&streamed, &staged);
             prop_assert_eq!(stats.edges as usize, staged.edge_count());
             prop_assert_eq!(stats.csr_bytes, streamed.csr_bytes());
+            let forward: std::collections::BTreeSet<(u32, u32)> =
+                edges.iter().copied().filter(|&(u, v)| u != v).collect();
+            let reverse: std::collections::BTreeSet<(u32, u32)> =
+                forward.iter().map(|&(u, v)| (v, u)).collect();
+            let row = |set: &std::collections::BTreeSet<(u32, u32)>, x: u32| -> Vec<u32> {
+                set.range((x, 0)..(x + 1, 0)).map(|&(_, y)| y).collect()
+            };
+            for x in 0..n {
+                prop_assert_eq!(streamed.out_neighbors(x), &row(&forward, x)[..]);
+                prop_assert_eq!(streamed.in_neighbors(x), &row(&reverse, x)[..]);
+            }
         }
     }
 }

@@ -1,15 +1,12 @@
-//! Per-client admission control: the serving-side mirror of
-//! `twittersim`'s rate-limit window.
+//! Per-client admission control through `twittersim`'s rate-limit window.
 //!
 //! The simulated Twitter API admits calls against a per-endpoint quota in
 //! a fixed window that *starts at the first charged call* and resets once
 //! `now >= window_start + window_len`; a rejected call does **not**
 //! consume quota, and its `retry_after` hint is exactly
-//! `window_start + window_len - now`. [`RateWindow::charge`] reproduces
-//! that accounting bit for bit (the conformance proptest in
-//! `tests/tests/serve_admission.rs` drives both implementations over the
-//! same seeded schedule), with the serving side keyed **per client** and
-//! counted in milliseconds instead of per endpoint in seconds.
+//! `window_start + window_len - now`. The serving side charges the very
+//! same [`RateWindow`], keyed **per client** and counted in milliseconds
+//! instead of per endpoint in seconds.
 //!
 //! Rejections surface on the wire as the `rate_limited` error code with a
 //! deterministic `retry_after_ms` hint — deterministic because the window
@@ -23,45 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// One client's (or endpoint's) fixed-window quota state — the exact
-/// accounting of `twittersim::api`'s internal bucket, extracted so the
-/// serving side and the conformance tests can share it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RateWindow {
-    used: u32,
-    window_start: u64,
-}
-
-impl RateWindow {
-    /// A fresh window opening at `now` — `twittersim` creates the bucket
-    /// on the first charged call, with `window_start` at that call's
-    /// clock reading.
-    pub fn begin(now: u64) -> Self {
-        Self { used: 0, window_start: now }
-    }
-
-    /// Admit one request against `quota` per `window_len` time units, or
-    /// reject with the time until this window resets. Mirrors
-    /// `twittersim::api::TwitterApi::charge`: an elapsed window resets
-    /// lazily (`used = 0`, `window_start = now`), a rejection consumes no
-    /// quota, and the retry hint is `window_start + window_len - now`.
-    pub fn charge(&mut self, now: u64, quota: u32, window_len: u64) -> Result<(), u64> {
-        if now >= self.window_start + window_len {
-            self.used = 0;
-            self.window_start = now;
-        }
-        if self.used >= quota {
-            return Err(self.window_start + window_len - now);
-        }
-        self.used += 1;
-        Ok(())
-    }
-
-    /// Requests admitted in the current window.
-    pub fn used(&self) -> u32 {
-        self.used
-    }
-}
+use vnet_twittersim::RateWindow;
 
 /// Per-client admission quota: `requests` per `window_millis`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,8 +107,7 @@ impl Admission {
     /// `window_millis: 0` policy rejecting on its own boundary), and a
     /// client that obeys a 0 ms hint literally busy-retries; the wire hint
     /// therefore never goes below one millisecond. The clamp lives here —
-    /// not in `charge` — so the window arithmetic stays bit-identical to
-    /// `twittersim`'s for the conformance proptest.
+    /// not in `charge` — because the simulated API reports its raw hint.
     pub fn try_admit(&self, client: &str) -> Result<(), u64> {
         let now = self.clock.now_ms();
         let mut windows = self.windows.lock().expect("admission windows lock");
@@ -170,31 +128,6 @@ impl Admission {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn window_admits_quota_then_rejects_with_reset_hint() {
-        let mut w = RateWindow::begin(100);
-        assert_eq!(w.charge(100, 2, 900), Ok(()));
-        assert_eq!(w.charge(150, 2, 900), Ok(()));
-        // Third call inside the window: rejected, no quota consumed, hint
-        // counts down to the reset at 100 + 900.
-        assert_eq!(w.charge(200, 2, 900), Err(800));
-        assert_eq!(w.charge(999, 2, 900), Err(1));
-        assert_eq!(w.used(), 2);
-        // At the reset boundary the window reopens at `now`.
-        assert_eq!(w.charge(1000, 2, 900), Ok(()));
-        assert_eq!(w.used(), 1);
-    }
-
-    #[test]
-    fn zero_quota_rejects_everything_with_full_window_hint() {
-        let mut w = RateWindow::begin(0);
-        assert_eq!(w.charge(0, 0, 500), Err(500));
-        assert_eq!(w.charge(400, 0, 500), Err(100));
-        // Past the reset, the window re-anchors but the hint is the full
-        // window again — exactly twittersim's behaviour with a 0 quota.
-        assert_eq!(w.charge(500, 0, 500), Err(500));
-    }
 
     #[test]
     fn clients_are_independent_buckets() {
@@ -220,11 +153,7 @@ mod tests {
     fn boundary_rejection_hint_is_never_zero() {
         // A zero-length window is the one policy under which the raw reset
         // hint is 0: every charge lands exactly on its own window boundary.
-        // The raw window keeps twittersim's arithmetic (hint 0) while the
-        // admission gate clamps the wire hint to >= 1 ms.
-        let mut w = RateWindow::begin(0);
-        assert_eq!(w.charge(0, 0, 0), Err(0), "raw charge stays twittersim-identical");
-
+        // The admission gate clamps the wire hint to >= 1 ms.
         let clock = AdmissionClock::manual();
         let gate = Admission::new(
             AdmissionPolicy { requests: 0, window_millis: 0 },

@@ -26,7 +26,7 @@
 //! computes each section, every coalesced waiter fans out the same bytes
 //! (`serve.coalesced` counts them), and a hot snapshot saturates only its
 //! own queue. In front of the router sits an optional [`Admission`] gate
-//! that mirrors `twittersim`'s rate-limit windows per client id: over
+//! that charges `twittersim`'s rate-limit window per client id: over
 //! quota means a `rate_limited` reply with a deterministic
 //! `retry_after_ms` hint, and rejected requests consume no quota.
 //! Shutdown drains every shard's executor on its quiescence condvar and
@@ -100,7 +100,7 @@ mod server;
 mod shards;
 mod stats;
 
-pub use admission::{Admission, AdmissionClock, AdmissionPolicy, RateWindow};
+pub use admission::{Admission, AdmissionClock, AdmissionPolicy};
 pub use cache::{CacheKey, CachedSection};
 pub use executor::{CancelToken, Executor, ExecutorTelemetry, JobHandle, SubmitRefusal};
 pub use framing::{Frame, LineReader, MAX_LINE_BYTES};

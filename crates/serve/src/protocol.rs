@@ -12,7 +12,7 @@
 //! contract, not a comment.
 
 use serde_json::Value;
-use verified_net::{AnalysisOptions, Section, VnetError};
+use verified_net::{AnalysisOptions, AnalysisOptionsBuilder, Section, VnetError};
 
 /// The current wire-envelope version.
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -184,20 +184,26 @@ fn allowed_keys(cmd: &str) -> &'static [&'static str] {
     }
 }
 
-/// `options` keys a request may set.
-const OPTION_KEYS: &[&str] = &[
-    "preset",
-    "seed",
-    "threads",
-    "bootstrap_reps",
-    "clustering_samples",
-    "distance_sources",
-    "betweenness_pivots",
-    "eigen_k",
-    "lanczos_steps",
-    "lag_cap",
-    "ngram_rows",
-    "fig1_bins",
+/// Sets one integer knob on an options builder.
+type KnobSetter = fn(AnalysisOptionsBuilder, usize) -> AnalysisOptionsBuilder;
+
+/// The integer `options` knobs besides `seed`: name, inclusive range, and
+/// setter. The lower bounds keep every section well-defined (Figure 1
+/// needs a bin); the upper bounds cap work and allocations sized straight
+/// from a knob. Counts of sources or pivots past the graph's node count
+/// mean "every node", so those two stop at `u32::MAX`, the most nodes a
+/// graph can hold.
+const KNOBS: [(&str, u64, u64, KnobSetter); 10] = [
+    ("threads", 1, 256, AnalysisOptionsBuilder::threads),
+    ("bootstrap_reps", 0, 2_500, AnalysisOptionsBuilder::bootstrap_reps),
+    ("clustering_samples", 1, 1_000_000, AnalysisOptionsBuilder::clustering_samples),
+    ("distance_sources", 1, u32::MAX as u64, AnalysisOptionsBuilder::distance_sources),
+    ("betweenness_pivots", 1, u32::MAX as u64, AnalysisOptionsBuilder::betweenness_pivots),
+    ("eigen_k", 1, 10_000, AnalysisOptionsBuilder::eigen_k),
+    ("lanczos_steps", 1, 10_000, AnalysisOptionsBuilder::lanczos_steps),
+    ("lag_cap", 1, 10_000, AnalysisOptionsBuilder::lag_cap),
+    ("ngram_rows", 1, 1_000, AnalysisOptionsBuilder::ngram_rows),
+    ("fig1_bins", 1, 10_000, AnalysisOptionsBuilder::fig1_bins),
 ];
 
 fn reject_unknown_keys(
@@ -224,9 +230,11 @@ fn reject_unknown_keys(
 /// Starts from the `preset` (`"quick"`, the default, or `"default"` for
 /// the full-cost battery) and overrides any numeric knob given by name.
 /// Unknown option keys are rejected — a misspelled knob must not silently
-/// fall back to its default.
+/// fall back to its default — and a knob outside its [`KNOBS`] range is a
+/// `bad_request` naming the knob and the range.
 fn parse_options(v: &Value) -> Result<AnalysisOptions, VnetError> {
-    reject_unknown_keys(v, OPTION_KEYS, "options")?;
+    let keys: Vec<&str> = ["preset", "seed"].into_iter().chain(KNOBS.map(|k| k.0)).collect();
+    reject_unknown_keys(v, &keys, "options")?;
     let base = match v["preset"].as_str() {
         None | Some("quick") => AnalysisOptions::quick(),
         Some("default") => AnalysisOptions::default(),
@@ -237,38 +245,24 @@ fn parse_options(v: &Value) -> Result<AnalysisOptions, VnetError> {
         }
     };
     let mut b = base.to_builder();
-    if let Some(n) = v["seed"].as_u64() {
-        b = b.seed(n);
+    if !v["seed"].is_null() {
+        let seed = v["seed"].as_u64().ok_or_else(|| {
+            VnetError::BadRequest(format!("'seed' must be an integer in [0, {}]", u64::MAX))
+        })?;
+        b = b.seed(seed);
     }
-    if let Some(n) = v["threads"].as_u64() {
-        b = b.threads(n as usize);
-    }
-    if let Some(n) = v["bootstrap_reps"].as_u64() {
-        b = b.bootstrap_reps(n as usize);
-    }
-    if let Some(n) = v["clustering_samples"].as_u64() {
-        b = b.clustering_samples(n as usize);
-    }
-    if let Some(n) = v["distance_sources"].as_u64() {
-        b = b.distance_sources(n as usize);
-    }
-    if let Some(n) = v["betweenness_pivots"].as_u64() {
-        b = b.betweenness_pivots(n as usize);
-    }
-    if let Some(n) = v["eigen_k"].as_u64() {
-        b = b.eigen_k(n as usize);
-    }
-    if let Some(n) = v["lanczos_steps"].as_u64() {
-        b = b.lanczos_steps(n as usize);
-    }
-    if let Some(n) = v["lag_cap"].as_u64() {
-        b = b.lag_cap(n as usize);
-    }
-    if let Some(n) = v["ngram_rows"].as_u64() {
-        b = b.ngram_rows(n as usize);
-    }
-    if let Some(n) = v["fig1_bins"].as_u64() {
-        b = b.fig1_bins(n as usize);
+    for (key, lo, hi, set) in KNOBS {
+        if v[key].is_null() {
+            continue;
+        }
+        let n = v[key]
+            .as_u64()
+            .filter(|n| (lo..=hi).contains(n))
+            .and_then(|n| usize::try_from(n).ok())
+            .ok_or_else(|| {
+                VnetError::BadRequest(format!("'{key}' must be an integer in [{lo}, {hi}]"))
+            })?;
+        b = set(b, n);
     }
     Ok(b.build())
 }
@@ -696,13 +690,72 @@ mod tests {
             r#"{"v":1,"cmd":"analyze","snapshot":"a","sections":[3]}"#,
             r#"{"v":1,"cmd":"analyze","snapshot":"a","sections":["basic"],"as_of":"soon"}"#,
             r#"{"v":1,"cmd":"analyze","snapshot":"a","sections":["basic"],"as_of":4294967297}"#,
+            // Option knobs outside their ranges: cast straight to `usize`,
+            // the first two abort the process and the third panics a worker.
+            r#"{"v":1,"cmd":"analyze","snapshot":"a","sections":["basic"],"options":{"fig1_bins":100000000000}}"#,
+            r#"{"v":1,"cmd":"analyze","snapshot":"a","sections":["degrees"],"options":{"bootstrap_reps":100000000000000}}"#,
+            r#"{"v":1,"cmd":"analyze","snapshot":"a","sections":["basic"],"options":{"fig1_bins":0}}"#,
+            r#"{"v":1,"cmd":"analyze","snapshot":"a","sections":["basic"],"options":{"seed":-1}}"#,
+            r#"{"v":1,"cmd":"analyze","snapshot":"a","sections":["basic"],"options":{"lag_cap":"40"}}"#,
         ] {
             let e = parse_request(line).unwrap_err();
             assert_eq!(e.code(), "bad_request", "line {line} gave {e}");
         }
+        let e = parse_request(
+            r#"{"v":1,"cmd":"analyze","snapshot":"a","sections":["basic"],"options":{"fig1_bins":0}}"#,
+        )
+        .unwrap_err();
+        assert!(e.to_string().contains("'fig1_bins' must be an integer in [1, 10000]"), "{e}");
         let e = parse_request(r#"{"v":1,"cmd":"analyze","snapshot":"a","sections":["nope"]}"#)
             .unwrap_err();
         assert_eq!(e.code(), "unknown_section");
+    }
+
+    #[test]
+    fn knob_ranges_accept_both_presets_and_reject_past_their_bounds() {
+        let field = |o: &AnalysisOptions, key: &str| match key {
+            "threads" => o.threads,
+            "bootstrap_reps" => o.bootstrap_reps,
+            "clustering_samples" => o.clustering_samples,
+            "distance_sources" => o.distance_sources,
+            "betweenness_pivots" => o.betweenness_pivots,
+            "eigen_k" => o.eigen_k,
+            "lanczos_steps" => o.lanczos_steps,
+            "lag_cap" => o.lag_cap,
+            "ngram_rows" => o.ngram_rows,
+            "fig1_bins" => o.fig1_bins,
+            other => panic!("no field for knob {other}"),
+        };
+        let analyze = |options: String| {
+            parse_request(&format!(
+                r#"{{"v":1,"cmd":"analyze","snapshot":"a","sections":["basic"],"options":{options}}}"#
+            ))
+        };
+        for (preset, opts) in [("quick", AnalysisOptions::quick()), ("default", AnalysisOptions::default())] {
+            for (key, ..) in KNOBS {
+                let line = format!(r#"{{"preset":"{preset}","{key}":{}}}"#, field(&opts, key));
+                match analyze(line) {
+                    Ok(Request::Analyze { options, .. }) => {
+                        assert_eq!(field(&options, key), field(&opts, key), "{preset}.{key}")
+                    }
+                    other => panic!("{preset}.{key} rejected: {other:?}"),
+                }
+            }
+        }
+        for (key, lo, hi, _) in KNOBS {
+            for n in [lo, hi] {
+                match analyze(format!(r#"{{"{key}":{n}}}"#)) {
+                    Ok(Request::Analyze { options, .. }) => assert_eq!(field(&options, key) as u64, n),
+                    other => panic!("{key}={n} rejected: {other:?}"),
+                }
+            }
+            let outside = [lo.checked_sub(1), hi.checked_add(1)];
+            for n in outside.into_iter().flatten() {
+                let e = analyze(format!(r#"{{"{key}":{n}}}"#)).unwrap_err();
+                assert_eq!(e.code(), "bad_request", "{key}={n}");
+                assert!(e.to_string().contains(&format!("'{key}' must be an integer in [{lo}, {hi}]")));
+            }
+        }
     }
 
     #[test]

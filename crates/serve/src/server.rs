@@ -7,7 +7,7 @@
 //! (slow writers keep their partial bytes across read-timeout ticks);
 //! `analyze` requests first pass the per-client token-bucket
 //! [`Admission`] gate (`rate_limited` + deterministic `retry_after_ms`
-//! on rejection, mirroring `twittersim`'s window semantics), then route
+//! on rejection, charged through `twittersim`'s `RateWindow`), then route
 //! to their snapshot's [`Shard`] — each shard owns a bounded-queue
 //! worker-pool [`Executor`] (refusals get `queue_full`), an LRU section
 //! cache, and a single-flight map, so a hot snapshot cannot starve the
@@ -68,8 +68,8 @@ pub struct ServerConfig {
     /// job is cancelled at its next section boundary).
     pub request_timeout_millis: u64,
     /// Per-client token-bucket admission control; `None` (the default)
-    /// admits everything. The window accounting mirrors `twittersim`'s
-    /// rate-limit windows — see [`Admission`].
+    /// admits everything. The window accounting is `twittersim`'s
+    /// rate-limit window — see [`Admission`].
     pub admission: Option<AdmissionPolicy>,
     /// The clock admission windows are charged against. The default wall
     /// clock counts real milliseconds; tests freeze time with

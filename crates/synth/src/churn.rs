@@ -608,7 +608,8 @@ impl ChurnStream {
             shock_churn_multiplier: f64::from_bits(r.u64()?),
         };
         let day = r.u32()?;
-        let n = r.u32()? as usize;
+        // Per node: role byte, fame, and list length.
+        let n = r.count(13)?;
         let mut adj = Vec::with_capacity(n);
         let mut roles = Vec::with_capacity(n);
         let mut fame = Vec::with_capacity(n);
@@ -621,7 +622,7 @@ impl ChurnStream {
                 other => return Err(format!("bad role byte {other}")),
             });
             fame.push(f64::from_bits(r.u64()?));
-            let len = r.u32()? as usize;
+            let len = r.count(4)?;
             let mut list = Vec::with_capacity(len);
             for _ in 0..len {
                 let v = r.u32()?;
@@ -633,7 +634,7 @@ impl ChurnStream {
             edges += len as u64;
             adj.push(list);
         }
-        let n_dormant = r.u32()? as usize;
+        let n_dormant = r.count(4)?;
         let mut dormant = Vec::with_capacity(n_dormant);
         for _ in 0..n_dormant {
             dormant.push(r.u32()?);
@@ -643,7 +644,8 @@ impl ChurnStream {
             let n_days = r.u32()? as usize;
             for _ in 0..n_days {
                 let sched_day = r.u32()?;
-                let n_events = r.u32()? as usize;
+                // The shortest event is a tag byte plus two ids.
+                let n_events = r.count(9)?;
                 let mut events = Vec::with_capacity(n_events);
                 for _ in 0..n_events {
                     events.push(match r.u8()? {
@@ -688,6 +690,16 @@ impl ByteReader<'_> {
     }
     fn u64(&mut self) -> Result<u64, String> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+    /// A `u32` element count, refused when that many elements of at least
+    /// `min_bytes` each cannot fit in the bytes left — so no allocation is
+    /// ever sized from a count the blob cannot back.
+    fn count(&mut self, min_bytes: usize) -> Result<usize, String> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(min_bytes) > self.bytes.len() - self.pos {
+            return Err("truncated churn checkpoint".into());
+        }
+        Ok(n)
     }
 }
 
@@ -854,6 +866,17 @@ mod tests {
         let mut blob = small_stream(7).checkpoint();
         blob.truncate(blob.len() - 1);
         assert!(ChurnStream::resume(&blob).is_err());
+    }
+
+    #[test]
+    fn node_count_past_the_blob_is_truncation_not_allocation() {
+        // A v1 header (68 bytes) whose node count is u32::MAX: the
+        // adjacency, role and fame vectors would have needed ~103 GB.
+        let mut blob = small_stream(7).checkpoint();
+        assert_eq!(&blob[4..8], &1u32.to_le_bytes());
+        blob.truncate(68);
+        blob[64..68].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(ChurnStream::resume(&blob).err(), Some("truncated churn checkpoint".into()));
     }
 
     #[test]

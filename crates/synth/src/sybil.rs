@@ -147,6 +147,10 @@ impl PlantedLabels {
                 u32::from_le_bytes(bytes[pos..pos + 4].try_into().map_err(|_| "short len")?)
                     as usize;
             pos += 4;
+            // Size nothing from a length the remaining bytes cannot hold.
+            if len > (bytes.len() - pos) / 4 {
+                return Err("truncated planted-label blob".into());
+            }
             let mut list = Vec::with_capacity(len);
             for _ in 0..len {
                 if pos + 4 > bytes.len() {
@@ -432,6 +436,16 @@ mod tests {
         assert!(PlantedLabels::deserialize(b"junk").is_err());
         assert!(a.labels.is_sybil(m));
         assert!(!a.labels.is_sybil(0));
+    }
+
+    #[test]
+    fn list_length_past_the_blob_is_truncation_not_allocation() {
+        // 12 bytes declaring a 4-billion-id ring list.
+        let mut blob = b"VNSY".to_vec();
+        blob.extend_from_slice(&1u32.to_le_bytes());
+        blob.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(blob.len(), 12);
+        assert_eq!(PlantedLabels::deserialize(&blob), Err("truncated planted-label blob".into()));
     }
 
     #[test]

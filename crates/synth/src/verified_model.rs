@@ -163,8 +163,7 @@ impl VerifiedNetwork {
         // per-node degrees straight off the staged adjacency, pass 2
         // counting-sorts every edge into its final CSR slot. The staged
         // lists are dropped before the reverse CSR is derived, so the peak
-        // working set from here on is the final CSR plus one cursor array
-        // (the old tuple-staged path peaked near 3× the CSR).
+        // working set from here on is the final CSR plus one cursor array.
         let mut b = StreamingBuilder::new(n);
         for (u, list) in adj.iter().enumerate() {
             for &v in list {
@@ -182,34 +181,6 @@ impl VerifiedNetwork {
         VerifiedNetwork { graph, roles, fame, config: *config, stream }
     }
 
-    /// [`VerifiedNetwork::generate`] through the Vec-staged
-    /// [`vnet_graph::GraphBuilder`] instead of the streaming builder — the
-    /// differential reference for the `graph-scale` equivalence battery.
-    /// Same RNG stream, same graph, ~3× the peak memory; `stream` carries
-    /// the staged path's (larger) byte accounting.
-    pub fn generate_staged<R: Rng + ?Sized>(config: &VerifiedNetConfig, rng: &mut R) -> Self {
-        let (adj, roles, fame) = wire(config, rng);
-        let n = config.nodes;
-        let staged_edges: usize = adj.iter().map(Vec::len).sum();
-        let mut builder = vnet_graph::GraphBuilder::with_capacity(n, staged_edges);
-        for (u, list) in adj.iter().enumerate() {
-            for &v in list {
-                builder.add_edge(u as NodeId, v).expect("generated ids are in range");
-            }
-        }
-        let graph = builder.build();
-        // Peak of the staged path: the tuple Vec (8 bytes/edge) is alive
-        // alongside the finished CSR when `build` returns.
-        let stream = StreamStats {
-            nodes: n,
-            staged_edges: staged_edges as u64,
-            edges: graph.edge_count() as u64,
-            peak_arena_bytes: 8 * staged_edges as u64 + graph.csr_bytes(),
-            csr_bytes: graph.csr_bytes(),
-        };
-        VerifiedNetwork { graph, roles, fame, config: *config, stream }
-    }
-
     /// Node ids by role.
     pub fn nodes_with_role(&self, role: NodeRole) -> Vec<NodeId> {
         self.roles
@@ -221,8 +192,8 @@ impl VerifiedNetwork {
     }
 }
 
-/// The generative core shared by both freeze paths: roles, fame, degree
-/// targets, and the wired (still mutable) adjacency lists.
+/// The generative core: roles, fame, degree targets, and the wired (still
+/// mutable) adjacency lists.
 #[allow(clippy::type_complexity)]
 fn wire<R: Rng + ?Sized>(
     config: &VerifiedNetConfig,
@@ -536,31 +507,6 @@ mod tests {
         let b = small_net(42);
         assert_eq!(a.graph, b.graph);
         assert_eq!(a.fame, b.fame);
-    }
-
-    #[test]
-    fn streaming_and_staged_freeze_identically() {
-        // Both freeze paths consume the identical RNG stream through
-        // `wire`, so everything but the byte accounting must agree.
-        let mut rng_s = StdRng::seed_from_u64(42);
-        let streaming = VerifiedNetwork::generate(&VerifiedNetConfig::small(), &mut rng_s);
-        let mut rng_t = StdRng::seed_from_u64(42);
-        let staged = VerifiedNetwork::generate_staged(&VerifiedNetConfig::small(), &mut rng_t);
-        assert_eq!(streaming.graph, staged.graph);
-        assert_eq!(streaming.roles, staged.roles);
-        assert_eq!(streaming.fame, staged.fame);
-        assert_eq!(streaming.stream.edges, staged.stream.edges);
-        assert_eq!(streaming.stream.csr_bytes, staged.stream.csr_bytes);
-        // The whole point of streaming: a strictly smaller peak.
-        assert!(streaming.stream.peak_arena_bytes < staged.stream.peak_arena_bytes);
-        // And the issue's budget, with margin: peak ≤ 1.5 × final CSR.
-        assert!(
-            streaming.stream.peak_arena_bytes as f64
-                <= 1.5 * streaming.stream.csr_bytes as f64,
-            "peak {} vs csr {}",
-            streaming.stream.peak_arena_bytes,
-            streaming.stream.csr_bytes
-        );
     }
 
     #[test]

@@ -1,25 +1,21 @@
-//! Warm-startable dynamic PageRank over any pull-capable graph view.
+//! Warm-startable dynamic PageRank over the delta overlay.
 //!
-//! The temporal engine wants two things the batch kernel in `vnet-algos`
-//! does not give it: (a) iteration directly over a [`DeltaOverlay`] without
-//! materializing a CSR, and (b) warm starts from the previous day's ranks
-//! so a day of churn converges in a handful of iterations instead of ~70.
-//!
-//! The arithmetic protocol is the batch kernel's, verbatim: uniform (or
-//! warm) init, chunked dangling-mass sum, pull over in-neighbors in
-//! ascending order, chunked L1 delta, swap. The one deliberate difference
-//! is that per-source contributions `rank[u] / out_deg[u]` are precomputed
-//! once per iteration — one division per node instead of one per edge.
-//! Because *both* the incremental engine and the from-scratch comparator
-//! run this same kernel, fingerprints stay bit-identical; and because the
-//! overlay's merged iteration visits in-neighbors in exactly materialized
-//! CSR order, running it on the overlay vs. the compacted graph cannot
-//! change a single bit either.
+//! The temporal engine wants two things from PageRank: (a) iteration
+//! directly over a [`DeltaOverlay`] without materializing a CSR, and (b)
+//! warm starts from the previous day's ranks so a day of churn converges
+//! in a handful of iterations instead of ~70. Both are features of the one
+//! power iteration in `vnet-algos` ([`power_iteration`] over a
+//! [`PullGraph`]); this module supplies the overlay's [`PullGraph`] view
+//! and the temporal entrypoint with its own row chunk and counters.
+//! Because the incremental engine and the from-scratch comparator run the
+//! same kernel, fingerprints stay bit-identical; and because the overlay's
+//! merged iteration visits in-neighbors in exactly materialized CSR order,
+//! running it on the overlay vs. the compacted graph cannot change a
+//! single bit either.
 
-use vnet_algos::pagerank::{PageRankConfig, PageRankResult};
+use vnet_algos::pagerank::{power_iteration, PageRankConfig, PageRankResult, PullGraph};
 use vnet_ctx::AnalysisCtx;
-use vnet_graph::{DiGraph, NodeId};
-use vnet_par::ParStats;
+use vnet_graph::NodeId;
 
 use crate::overlay::DeltaOverlay;
 
@@ -28,42 +24,6 @@ use crate::overlay::DeltaOverlay;
 /// than the batch kernel's 8192: temporal runs are daily ticks on
 /// medium graphs, where finer shards keep all threads busy.
 pub const ROW_CHUNK: usize = 2048;
-
-/// A graph the pull kernel can iterate: node/edge counts, out-degrees, and
-/// an ascending-order fold over in-neighbors.
-///
-/// Implemented by `&DiGraph` (CSR slices) and `&DeltaOverlay` (merged
-/// iteration). Both visit in-neighbors in the same ascending order, which
-/// is the whole determinism argument.
-pub trait PullGraph: Sync {
-    /// Number of nodes.
-    fn node_count(&self) -> usize;
-    /// Number of live directed edges.
-    fn edge_count(&self) -> u64;
-    /// Out-degree of `u`.
-    fn out_degree(&self, u: NodeId) -> usize;
-    /// Sum `contrib[u]` over in-neighbors `u` of `v`, ascending.
-    fn pull_sum(&self, v: NodeId, contrib: &[f64]) -> f64;
-}
-
-impl PullGraph for &DiGraph {
-    fn node_count(&self) -> usize {
-        DiGraph::node_count(self)
-    }
-    fn edge_count(&self) -> u64 {
-        DiGraph::edge_count(self) as u64
-    }
-    fn out_degree(&self, u: NodeId) -> usize {
-        DiGraph::out_degree(self, u)
-    }
-    fn pull_sum(&self, v: NodeId, contrib: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for &u in self.in_neighbors(v) {
-            acc += contrib[u as usize];
-        }
-        acc
-    }
-}
 
 impl PullGraph for &DeltaOverlay {
     fn node_count(&self) -> usize {
@@ -96,7 +56,7 @@ pub fn dynamic_pagerank<G: PullGraph>(
     ctx: &AnalysisCtx,
 ) -> PageRankResult {
     let started = std::time::Instant::now();
-    let (result, stats) = dynamic_pagerank_impl(g, cfg, warm, ctx);
+    let (result, stats) = power_iteration(g, cfg, warm, ROW_CHUNK, ctx);
     let obs = ctx.obs();
     obs.set_counter("temporal.pagerank.iterations", &[], result.iterations as u64);
     obs.set_counter("temporal.pagerank.edge_relaxations", &[], result.edge_relaxations);
@@ -105,106 +65,12 @@ pub fn dynamic_pagerank<G: PullGraph>(
     result
 }
 
-fn dynamic_pagerank_impl<G: PullGraph>(
-    g: G,
-    cfg: PageRankConfig,
-    warm: Option<&[f64]>,
-    ctx: &AnalysisCtx,
-) -> (PageRankResult, ParStats) {
-    let n = g.node_count();
-    if n == 0 {
-        let result = PageRankResult {
-            scores: Vec::new(),
-            iterations: 0,
-            converged: true,
-            edge_relaxations: 0,
-        };
-        return (result, ParStats::default());
-    }
-    assert!((0.0..1.0).contains(&cfg.damping), "damping must be in [0, 1)");
-    if let Some(w) = warm {
-        assert_eq!(w.len(), n, "warm rank vector must match node count");
-    }
-    let pool = ctx.pool();
-    let scratch = ctx.scratch();
-    let nf = n as f64;
-    let mut rank = scratch.take_f64(n);
-    match warm {
-        Some(w) => rank.copy_from_slice(w),
-        None => rank.fill(1.0 / nf),
-    }
-    let mut next = scratch.take_f64(n);
-    let mut contrib = scratch.take_f64(n);
-    let mut out_deg = scratch.take_f64(n);
-    for (u, slot) in out_deg.iter_mut().enumerate() {
-        *slot = g.out_degree(u as NodeId) as f64;
-    }
-
-    let mut iterations = 0;
-    let mut converged = false;
-    let mut edge_relaxations = 0u64;
-    let mut par_stats = ParStats::default();
-    while iterations < cfg.max_iter {
-        iterations += 1;
-        edge_relaxations += g.edge_count();
-        // One division per node per iteration; the pull loop then only adds.
-        {
-            let rank_ref = &rank;
-            let out_ref = &out_deg;
-            let s = pool.for_each_chunk_mut(&mut contrib, ROW_CHUNK, |_task, offset, chunk| {
-                for (k, slot) in chunk.iter_mut().enumerate() {
-                    let u = offset + k;
-                    *slot = if out_ref[u] == 0.0 { 0.0 } else { rank_ref[u] / out_ref[u] };
-                }
-            });
-            par_stats.merge(s);
-        }
-        let (dangling, s) = pool.map_reduce_chunks(
-            n,
-            ROW_CHUNK,
-            |_task, range| range.filter(|&u| out_deg[u] == 0.0).map(|u| rank[u]).sum::<f64>(),
-            0.0f64,
-            |acc, partial| acc + partial,
-        );
-        par_stats.merge(s);
-        let base = (1.0 - cfg.damping) / nf + cfg.damping * dangling / nf;
-        {
-            let g_ref = &g;
-            let contrib_ref = &contrib;
-            let s = pool.for_each_chunk_mut(&mut next, ROW_CHUNK, |_task, offset, chunk| {
-                for (k, slot) in chunk.iter_mut().enumerate() {
-                    let v = (offset + k) as NodeId;
-                    *slot = base + cfg.damping * g_ref.pull_sum(v, contrib_ref);
-                }
-            });
-            par_stats.merge(s);
-        }
-        let (delta, s) = pool.map_reduce_chunks(
-            n,
-            ROW_CHUNK,
-            |_task, range| range.map(|u| (rank[u] - next[u]).abs()).sum::<f64>(),
-            0.0f64,
-            |acc, partial| acc + partial,
-        );
-        par_stats.merge(s);
-        std::mem::swap(&mut rank, &mut next);
-        if delta < cfg.tol {
-            converged = true;
-            break;
-        }
-    }
-    scratch.put_f64(next);
-    scratch.put_f64(contrib);
-    scratch.put_f64(out_deg);
-    let result = PageRankResult { scores: rank, iterations, converged, edge_relaxations };
-    (result, par_stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
     use vnet_graph::builder::from_edges;
+    use vnet_graph::DiGraph;
 
     fn ring_with_chords() -> DiGraph {
         let mut edges = Vec::new();
@@ -282,15 +148,15 @@ mod tests {
 
     #[test]
     fn matches_batch_kernel_closely() {
-        // Different summation protocol (precomputed contributions), so only
-        // tolerance-level agreement is promised against vnet-algos.
+        // One kernel behind both entrypoints: on a graph that fits one
+        // chunk of either size, a cold start reproduces the batch scores
+        // bit for bit.
         let g = ring_with_chords();
         let ctx = AnalysisCtx::quiet();
         let cfg = PageRankConfig::default();
         let batch = vnet_algos::pagerank::pagerank(&g, cfg, &ctx);
         let dyn_r = dynamic_pagerank(&g, cfg, None, &ctx);
-        let dist: f64 =
-            batch.scores.iter().zip(&dyn_r.scores).map(|(a, b)| (a - b).abs()).sum();
-        assert!(dist < 1e-9, "L1 distance to batch kernel {dist}");
+        assert_eq!(batch.iterations, dyn_r.iterations);
+        assert_eq!(batch.scores, dyn_r.scores);
     }
 }

@@ -9,9 +9,9 @@
 //! * [`DeltaOverlay`] — sorted add/delete lists over an immutable CSR
 //!   base, iterating live neighbor sets in exactly materialized-CSR order,
 //!   with periodic compaction through `StreamingBuilder`;
-//! * [`dynamic_pagerank`] — a warm-startable PageRank kernel generic over
-//!   CSR and overlay views ([`PullGraph`]), bit-identical at any thread
-//!   count;
+//! * [`dynamic_pagerank`] — `vnet-algos`' PageRank power iteration,
+//!   warm-started and run over CSR or overlay views ([`PullGraph`]),
+//!   bit-identical at any thread count;
 //! * [`StructuralCounters`] — O(deg)-per-flip reciprocity, transitivity,
 //!   and degree counters whose integer state makes daily metrics equal a
 //!   from-scratch recount *by construction*;
@@ -35,7 +35,8 @@ pub mod overlay;
 pub mod timeline;
 
 pub use counters::{DeltaError, StructuralCounters};
-pub use dynpr::{dynamic_pagerank, PullGraph};
+pub use dynpr::dynamic_pagerank;
+pub use vnet_algos::pagerank::PullGraph;
 pub use engine::{
     scratch_replay, structural_shifts, EngineConfig, StructuralSeries, StructuralShift,
     TemporalDayReport, TemporalEngine,

@@ -126,10 +126,46 @@ pub const LOOKUP_BATCH: usize = 100;
 /// change under the client.
 const CURSOR_OFFSET_MASK: u64 = (1 << 40) - 1;
 
-#[derive(Debug)]
-struct Bucket {
+/// One fixed-window quota: the rate-limit accounting every simulated
+/// endpoint is charged through, and the per-client admission window
+/// `vnet-serve` charges requests through.
+///
+/// The window *starts at the first charged call* and resets lazily once
+/// `now >= window_start + window_len`; a rejected call consumes no quota,
+/// and its retry hint is exactly `window_start + window_len - now`. Time
+/// units are the caller's: simulated seconds here, milliseconds in serve.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RateWindow {
     used: u32,
     window_start: u64,
+}
+
+impl RateWindow {
+    /// A fresh window opening at `now`, the clock reading of the first
+    /// charged call.
+    pub fn begin(now: u64) -> Self {
+        Self { used: 0, window_start: now }
+    }
+
+    /// Admit one call against `quota` per `window_len` time units, or
+    /// reject with the time until this window resets. An elapsed window
+    /// resets first (`used = 0`, `window_start = now`).
+    pub fn charge(&mut self, now: u64, quota: u32, window_len: u64) -> Result<(), u64> {
+        if now >= self.window_start + window_len {
+            self.used = 0;
+            self.window_start = now;
+        }
+        if self.used >= quota {
+            return Err(self.window_start + window_len - now);
+        }
+        self.used += 1;
+        Ok(())
+    }
+
+    /// Calls admitted in the current window.
+    pub fn used(&self) -> u32 {
+        self.used
+    }
 }
 
 /// Per-API fault machinery: the plan, its materialized flicker schedule,
@@ -148,7 +184,7 @@ pub struct TwitterApi<'a> {
     clock: SimClock,
     policy: RateLimitPolicy,
     failure_rate: f64,
-    buckets: Mutex<HashMap<&'static str, Bucket>>,
+    windows: Mutex<HashMap<&'static str, RateWindow>>,
     rng: Mutex<StdRng>,
     calls: Mutex<HashMap<&'static str, u64>>,
     timeline: Option<crate::churn::RosterTimeline>,
@@ -171,7 +207,7 @@ impl<'a> TwitterApi<'a> {
             clock,
             policy,
             failure_rate,
-            buckets: Mutex::new(HashMap::new()),
+            windows: Mutex::new(HashMap::new()),
             rng: Mutex::new(StdRng::seed_from_u64(0xA11CE)),
             calls: Mutex::new(HashMap::new()),
             timeline: None,
@@ -248,15 +284,13 @@ impl<'a> TwitterApi<'a> {
             }
             None => 0,
         };
-        let mut buckets = lock(&self.buckets);
-        let bucket =
-            buckets.entry(endpoint).or_insert(Bucket { used: 0, window_start: now });
-        if now >= bucket.window_start + self.policy.window_secs {
-            bucket.used = 0;
-            bucket.window_start = now;
-        }
-        if bucket.used >= quota {
-            let mut retry_after = bucket.window_start + self.policy.window_secs - now;
+        // Transient failures burn quota, like real 5xx responses did: the
+        // window is charged before any fault is rolled.
+        let charged = lock(&self.windows)
+            .entry(endpoint)
+            .or_insert_with(|| RateWindow::begin(now))
+            .charge(now, quota, self.policy.window_secs);
+        if let Err(mut retry_after) = charged {
             if let Some(f) = &self.faults {
                 // Rate-limit skew: the reset header overstates the wait.
                 // Costs simulated time only — never data.
@@ -281,9 +315,6 @@ impl<'a> TwitterApi<'a> {
             );
             return Err(ApiError::RateLimited { retry_after });
         }
-        // Transient failures burn quota, like real 5xx responses did.
-        bucket.used += 1;
-        drop(buckets);
         if let Some(f) = &self.faults {
             for (i, c) in f.plan.clauses().iter().enumerate() {
                 if !c.active_at(now) {
@@ -603,6 +634,34 @@ mod tests {
         }
         // After the window resets the call succeeds.
         assert!(api.friends_ids(id, 1).is_ok());
+    }
+
+    #[test]
+    fn window_admits_quota_then_rejects_with_reset_hint() {
+        let mut w = RateWindow::begin(100);
+        assert_eq!(w.charge(100, 2, 900), Ok(()));
+        assert_eq!(w.charge(150, 2, 900), Ok(()));
+        // Third call inside the window: rejected, no quota consumed, hint
+        // counts down to the reset at 100 + 900.
+        assert_eq!(w.charge(200, 2, 900), Err(800));
+        assert_eq!(w.charge(999, 2, 900), Err(1));
+        assert_eq!(w.used(), 2);
+        // At the reset boundary the window reopens at `now`.
+        assert_eq!(w.charge(1000, 2, 900), Ok(()));
+        assert_eq!(w.used(), 1);
+    }
+
+    #[test]
+    fn zero_quota_rejects_everything_with_full_window_hint() {
+        let mut w = RateWindow::begin(0);
+        assert_eq!(w.charge(0, 0, 500), Err(500));
+        assert_eq!(w.charge(400, 0, 500), Err(100));
+        // Past the reset, the window re-anchors but the hint is the full
+        // window again.
+        assert_eq!(w.charge(500, 0, 500), Err(500));
+        // A zero-length window rejects on its own boundary with a 0 hint;
+        // serve admission clamps that on the wire, not here.
+        assert_eq!(w.charge(500, 0, 0), Err(0));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!   `vnet-textmine`, language flags, and global reach metrics correlated
 //!   with the fame field that wired the graph).
 //! * [`api`] — the REST facade: cursor-paginated endpoints, per-endpoint
-//!   token buckets over a simulated clock, and injectable transient
+//!   [`RateWindow`] quotas over a simulated clock, and injectable transient
 //!   failures, so the crawler faces the same contract the authors did.
 //! * [`firehose`] — the daily activity streams: a stationary weekly-seasonal
 //!   aggregate with a Christmas dip and an early-April level shift (the two
@@ -76,7 +76,7 @@ pub mod faults;
 pub mod firehose;
 pub mod society;
 
-pub use api::{ApiError, Page, RateLimitPolicy, SimClock, TwitterApi};
+pub use api::{ApiError, Page, RateLimitPolicy, RateWindow, SimClock, TwitterApi};
 pub use churn::{ChurnConfig, FlickerSchedule, RosterTimeline};
 pub use crawler::{CrawlCheckpoint, CrawlDataset, CrawlOutcome, CrawlStats, Crawler};
 pub use faults::{Endpoint, FaultClause, FaultPlan, FaultTally};

@@ -16,12 +16,13 @@
 #                             cross-thread-count determinism battery
 #   scripts/verify.sh serve   service lane: vnet-serve unit tests + the
 #                             loopback wire-protocol, concurrency,
-#                             admission-conformance and shard-isolation
-#                             batteries, with the serve-scoped clippy wall
+#                             admission and shard-isolation batteries (the
+#                             shard battery in both build profiles), with
+#                             the serve-scoped clippy wall
 #   scripts/verify.sh graph-scale
 #                             scaling lane: the StreamingBuilder unit +
-#                             proptest battery, the streaming-vs-staged
-#                             manifest-equivalence battery (including the
+#                             proptest battery, the peak-budget and
+#                             thread-count battery (including the
 #                             release-profile medium-tier golden header),
 #                             and the graph-scoped clippy wall
 #   scripts/verify.sh temporal
@@ -52,8 +53,9 @@
 #                             denied, and the grep lints that keep deleted
 #                             APIs deleted (no *_observed entrypoint, no
 #                             #[deprecated] item, no unversioned-envelope
-#                             support; see the migration table in
-#                             docs/API.md)
+#                             support, see the migration table in
+#                             docs/API.md; no second CSR freeze, PageRank
+#                             loop or rate window)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -85,6 +87,9 @@ serve)
     cargo test -q -p vnet-integration-tests --test serve_concurrency
     cargo test -q -p vnet-integration-tests --test serve_admission
     cargo test -q -p vnet-integration-tests --test serve_shards
+    # The saturation test races a status poll against slow jobs, and
+    # release builds run those jobs ~5x faster: hold it in both profiles.
+    cargo test -q -p vnet-integration-tests --release --test serve_shards
     # The service runs analyses on shared worker threads: a panic or a
     # lock held across a wait point takes down more than one request, so
     # the serve crate holds a stricter wall than the workspace default.
@@ -156,6 +161,16 @@ full)
     if grep -rn --include='*.rs' -E 'DEPRECATION_NOTE|legacy_requests' crates/ tests/ examples/; then
         echo "error: unversioned-envelope support reintroduced" >&2
         echo "       (every request carries {\"v\":1,...}; see the migration table in docs/API.md)" >&2
+        exit 1
+    fi
+    # One implementation of each: GraphBuilder freezes through
+    # StreamingBuilder, PageRank has one power iteration (vnet-algos), and
+    # twittersim charges every endpoint through RateWindow.
+    if grep -rn --include='*.rs' -E 'generate_staged|dynamic_pagerank_impl' crates/ tests/ examples/ \
+        || grep -rn --include='*.rs' -E 'struct Bucket\b' crates/twittersim/; then
+        echo "error: a deleted second implementation reappeared" >&2
+        echo "       (freeze through StreamingBuilder, iterate with vnet_algos::pagerank::power_iteration," >&2
+        echo "        charge through vnet_twittersim::RateWindow)" >&2
         exit 1
     fi
     ;;

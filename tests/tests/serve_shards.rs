@@ -47,11 +47,14 @@ impl Client {
     }
 }
 
-/// A slow request: high-pivot betweenness keeps a worker busy for long
-/// enough that queue occupancy is observable from outside.
+/// A slow request: 2048-pivot betweenness holds a worker for roughly half
+/// a second in a release build on a 2-core Xeon host (a few seconds in
+/// debug), long enough for the 10 ms status poll to see the shard full. A
+/// few dozen pivots finish in tens of milliseconds in release and race the
+/// poll.
 fn slow_analyze(snapshot: &str, seed: u64) -> String {
     format!(
-        "{{\"v\":1,\"cmd\":\"analyze\",\"snapshot\":\"{snapshot}\",\"sections\":[\"centrality\"],\"options\":{{\"seed\":{seed},\"betweenness_pivots\":64}}}}"
+        "{{\"v\":1,\"cmd\":\"analyze\",\"snapshot\":\"{snapshot}\",\"sections\":[\"centrality\"],\"options\":{{\"seed\":{seed},\"betweenness_pivots\":2048}}}}"
     )
 }
 
