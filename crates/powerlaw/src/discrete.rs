@@ -28,10 +28,21 @@ pub struct DiscreteFit {
 impl DiscreteFit {
     /// Log-PMF of the fitted model at integer `k`.
     pub fn ln_pmf(&self, k: u64) -> f64 {
+        // Below the support the normaliser is not needed.
         if k < self.xmin {
-            return f64::NEG_INFINITY;
+            f64::NEG_INFINITY
+        } else {
+            self.ln_pmf_fn()(k)
         }
-        -self.alpha * (k as f64).ln() - hurwitz_zeta(self.alpha, self.xmin as f64).ln()
+    }
+
+    /// The log-PMF as a function, for evaluating many points of one fit:
+    /// `ln ζ(α, xmin)` (a 34-term power sum) is taken once, here, not at
+    /// every call. Each call returns [`ln_pmf`](Self::ln_pmf)'s bits.
+    pub(crate) fn ln_pmf_fn(&self) -> impl Fn(u64) -> f64 {
+        let (alpha, xmin) = (self.alpha, self.xmin);
+        let ln_zeta = hurwitz_zeta(alpha, xmin as f64).ln();
+        move |k| if k < xmin { f64::NEG_INFINITY } else { -alpha * (k as f64).ln() - ln_zeta }
     }
 
     /// Survival `P(X >= k)` of the fitted model.
@@ -252,6 +263,16 @@ mod tests {
         let total: f64 = (2..60_000).map(|k| fit.ln_pmf(k).exp()).sum();
         assert!((total - 1.0).abs() < 1e-4, "total={total}");
         assert_eq!(fit.ln_pmf(1), f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn ln_pmf_fn_matches_ln_pmf_bit_for_bit() {
+        let fit = DiscreteFit { alpha: 3.24, xmin: 7, ks: 0.0, n_tail: 0, log_likelihood: 0.0 };
+        let ln_pmf = fit.ln_pmf_fn();
+        for k in [0, 6, 7, 8, 100, 1_334, u64::MAX] {
+            assert_eq!(ln_pmf(k).to_bits(), fit.ln_pmf(k).to_bits(), "k={k}");
+        }
+        assert_eq!(ln_pmf(6), f64::NEG_INFINITY);
     }
 
     #[test]

@@ -71,7 +71,15 @@ fn vuong_from_differences(d: &[f64], alternative: Alternative) -> Result<VuongRe
     let mean = lr / n as f64;
     let var: f64 = d.iter().map(|&x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
     let sd = var.sqrt();
-    let statistic = if sd > 0.0 { lr / (sd * (n as f64).sqrt()) } else { f64::INFINITY };
+    let statistic = if sd > 0.0 {
+        lr / (sd * (n as f64).sqrt())
+    } else if lr == 0.0 {
+        // Every d_i is 0: the models agree point for point.
+        0.0
+    } else {
+        // Every d_i is the same nonzero value: the winner is certain.
+        lr.signum() * f64::INFINITY
+    };
     let p_value =
         if statistic.is_finite() { 2.0 * norm_sf(statistic.abs()) } else { 0.0 };
     Ok(VuongResult { lr, statistic, p_value, n, alternative })
@@ -80,6 +88,9 @@ fn vuong_from_differences(d: &[f64], alternative: Alternative) -> Result<VuongRe
 /// Vuong test on discrete data, power law vs `alternative`, over the tail
 /// `x >= fit.xmin`. Continuous alternatives are discretized as
 /// `P(k) ≈ F(k + 1/2) − F(k − 1/2)`.
+///
+/// The power law's `ln ζ(α, xmin)` and the log-normal's CDF at its shifted
+/// `xmin` are evaluated once per test, not once per tail point.
 pub fn vuong_discrete(data: &[u64], fit: &DiscreteFit, alternative: Alternative) -> Result<VuongResult> {
     let tail: Vec<u64> = data.iter().copied().filter(|&x| x >= fit.xmin).collect();
     if tail.len() < 3 {
@@ -93,40 +104,25 @@ pub fn vuong_discrete(data: &[u64], fit: &DiscreteFit, alternative: Alternative)
             let p = Poisson::mle(&tail_f, xmin)?;
             Box::new(move |k: u64| p.ln_pmf(k as f64))
         }
+        // Continuous alternatives are renormalized by the half-shift at the
+        // boundary (cdf measured from xmin - 1/2).
         Alternative::Exponential => {
             let e = Exponential::mle(&tail_f, xmin)?;
-            // Discretize around integer k, renormalized by the half-shift
-            // at the boundary (cdf measured from xmin - 1/2).
             let shifted = Exponential { lambda: e.lambda, xmin: xmin - 0.5 };
-            Box::new(move |k: u64| {
-                let k = k as f64;
-                let p = shifted.cdf(k + 0.5) - shifted.cdf(k - 0.5);
-                if p > 0.0 {
-                    p.ln()
-                } else {
-                    f64::NEG_INFINITY
-                }
-            })
+            discretized(move |x| shifted.cdf(x))
         }
         Alternative::LogNormal => {
             let l = LogNormal::mle(&tail_f, xmin)?;
             let shifted = LogNormal { mu: l.mu, sigma: l.sigma, xmin: (xmin - 0.5).max(0.5) };
-            Box::new(move |k: u64| {
-                let k = k as f64;
-                let p = shifted.cdf(k + 0.5) - shifted.cdf(k - 0.5);
-                if p > 0.0 {
-                    p.ln()
-                } else {
-                    f64::NEG_INFINITY
-                }
-            })
+            discretized(shifted.cdf_fn())
         }
     };
 
+    let pl_ln_pmf = fit.ln_pmf_fn();
     let d: Vec<f64> = tail
         .iter()
         .map(|&k| {
-            let a = fit.ln_pmf(k);
+            let a = pl_ln_pmf(k);
             let b = alt_ln_pmf(k);
             // Guard -inf − -inf; clamp alternative floor to keep the
             // statistic finite (matches poweRlaw's practical behaviour).
@@ -134,6 +130,20 @@ pub fn vuong_discrete(data: &[u64], fit: &DiscreteFit, alternative: Alternative)
         })
         .collect();
     vuong_from_differences(&d, alternative)
+}
+
+/// A continuous CDF discretized around integer `k`:
+/// `ln(F(k + 1/2) − F(k − 1/2))`, −∞ where that mass is not positive.
+fn discretized(cdf: impl Fn(f64) -> f64 + 'static) -> Box<dyn Fn(u64) -> f64> {
+    Box::new(move |k| {
+        let k = k as f64;
+        let p = cdf(k + 0.5) - cdf(k - 0.5);
+        if p > 0.0 {
+            p.ln()
+        } else {
+            f64::NEG_INFINITY
+        }
+    })
 }
 
 /// Vuong test on continuous data, power law vs `alternative`, over the tail
@@ -253,5 +263,22 @@ mod tests {
             vuong_discrete(&[1, 2, 3], &fit, Alternative::Exponential),
             Err(PowerLawError::TooFewObservations { .. })
         ));
+    }
+
+    #[test]
+    fn zero_spread_takes_the_sign_of_lr() {
+        let v = |d: &[f64]| vuong_from_differences(d, Alternative::LogNormal).unwrap();
+        // Equal positive differences: the power law wins with certainty.
+        let win = v(&[1.5; 4]);
+        assert_eq!((win.lr, win.statistic, win.p_value), (6.0, f64::INFINITY, 0.0));
+        assert!(win.favors_power_law(0.05));
+        // Equal negative differences: the alternative wins with certainty.
+        let loss = v(&[-2.0; 5]);
+        assert_eq!((loss.lr, loss.statistic, loss.p_value), (-10.0, f64::NEG_INFINITY, 0.0));
+        assert!(!loss.favors_power_law(0.05));
+        // Identical models: nothing to tell apart.
+        let tie = v(&[0.0; 6]);
+        assert_eq!((tie.lr, tie.statistic, tie.p_value), (0.0, 0.0, 1.0));
+        assert!(!tie.favors_power_law(0.05));
     }
 }

@@ -148,9 +148,6 @@ pub const DETECT_DEFAULT_TOP_K: usize = 20;
 /// cap bounds reply bytes, not detection work).
 pub const DETECT_MAX_TOP_K: usize = 10_000;
 
-/// The `bad_request` message for an `as_of` that is not a `u32` day.
-const AS_OF_MESSAGE: &str = "'as_of' must be a non-negative integer day";
-
 fn required_str(v: &Value, key: &str, cmd: &str) -> Result<String, VnetError> {
     v[key]
         .as_str()
@@ -158,16 +155,28 @@ fn required_str(v: &Value, key: &str, cmd: &str) -> Result<String, VnetError> {
         .ok_or_else(|| VnetError::BadRequest(format!("'{cmd}' needs a string '{key}' field")))
 }
 
-/// An optional non-negative integer field that must fit a `u32`: larger
-/// values are refused with `message`, never truncated.
-fn optional_u32(v: &Value, key: &str, message: &str) -> Result<Option<u32>, VnetError> {
+/// An optional integer field that must lie in `[lo, hi]` and fit a `T`:
+/// `None` when absent. A value of any other JSON type, outside the range
+/// or too wide for `T` is a `bad_request` naming the field and the range,
+/// never a cast and never a silent fall-back to the default. Every
+/// integer field of a request but the envelope's `v` is read through here.
+fn optional_int<T: TryFrom<u64>>(
+    v: &Value,
+    key: &str,
+    lo: u64,
+    hi: u64,
+) -> Result<Option<T>, VnetError> {
     if v[key].is_null() {
         return Ok(None);
     }
-    match v[key].as_u64().map(u32::try_from) {
-        Some(Ok(n)) => Ok(Some(n)),
-        _ => Err(VnetError::BadRequest(message.into())),
-    }
+    v[key]
+        .as_u64()
+        .filter(|n| (lo..=hi).contains(n))
+        .and_then(|n| T::try_from(n).ok())
+        .map(Some)
+        .ok_or_else(|| {
+            VnetError::BadRequest(format!("'{key}' must be an integer in [{lo}, {hi}]"))
+        })
 }
 
 /// Top-level keys each command accepts.
@@ -245,55 +254,30 @@ fn parse_options(v: &Value) -> Result<AnalysisOptions, VnetError> {
         }
     };
     let mut b = base.to_builder();
-    if !v["seed"].is_null() {
-        let seed = v["seed"].as_u64().ok_or_else(|| {
-            VnetError::BadRequest(format!("'seed' must be an integer in [0, {}]", u64::MAX))
-        })?;
+    if let Some(seed) = optional_int(v, "seed", 0, u64::MAX)? {
         b = b.seed(seed);
     }
     for (key, lo, hi, set) in KNOBS {
-        if v[key].is_null() {
-            continue;
+        if let Some(n) = optional_int(v, key, lo, hi)? {
+            b = set(b, n);
         }
-        let n = v[key]
-            .as_u64()
-            .filter(|n| (lo..=hi).contains(n))
-            .and_then(|n| usize::try_from(n).ok())
-            .ok_or_else(|| {
-                VnetError::BadRequest(format!("'{key}' must be an integer in [{lo}, {hi}]"))
-            })?;
-        b = set(b, n);
     }
     Ok(b.build())
 }
 
 /// Parse the churn knobs of a `register` request.
 fn parse_churn(v: &Value) -> Result<Option<ChurnSpec>, VnetError> {
-    if v["churn_days"].is_null() {
+    let Some(days) = optional_int(v, "churn_days", 1, MAX_CHURN_DAYS.into())? else {
         if !v["churn_seed"].is_null() || !v["churn_shock_day"].is_null() {
             return Err(VnetError::BadRequest(
                 "churn_seed/churn_shock_day need a 'churn_days' field".into(),
             ));
         }
         return Ok(None);
-    }
-    let days = v["churn_days"]
-        .as_u64()
-        .ok_or_else(|| VnetError::BadRequest("'churn_days' must be a non-negative integer".into()))?;
-    if !(1..=MAX_CHURN_DAYS as u64).contains(&days) {
-        return Err(VnetError::BadRequest(format!(
-            "'churn_days' must be in [1, {MAX_CHURN_DAYS}]"
-        )));
-    }
-    let seed = match &v["churn_seed"] {
-        s if s.is_null() => None,
-        s => Some(s.as_u64().ok_or_else(|| {
-            VnetError::BadRequest("'churn_seed' must be a non-negative integer".into())
-        })?),
     };
-    let shock_day =
-        optional_u32(v, "churn_shock_day", "'churn_shock_day' must be a non-negative integer")?;
-    Ok(Some(ChurnSpec { days: days as u32, seed, shock_day }))
+    let seed = optional_int(v, "churn_seed", 0, u64::MAX)?;
+    let shock_day = optional_int(v, "churn_shock_day", 0, u32::MAX.into())?;
+    Ok(Some(ChurnSpec { days, seed, shock_day }))
 }
 
 /// Parse one request line into a [`Request`].
@@ -346,18 +330,9 @@ pub fn parse_request(line: &str) -> Result<Request, VnetError> {
         "detect" => {
             let snapshot = required_str(&v, "snapshot", "detect")?;
             let client = v["client"].as_str().unwrap_or("").to_string();
-            let as_of = optional_u32(&v, "as_of", AS_OF_MESSAGE)?;
-            let top_k = match &v["top_k"] {
-                t if t.is_null() => DETECT_DEFAULT_TOP_K,
-                t => t.as_u64().ok_or_else(|| {
-                    VnetError::BadRequest("'top_k' must be a positive integer".into())
-                })? as usize,
-            };
-            if !(1..=DETECT_MAX_TOP_K).contains(&top_k) {
-                return Err(VnetError::BadRequest(format!(
-                    "'top_k' must be in [1, {DETECT_MAX_TOP_K}]"
-                )));
-            }
+            let as_of = optional_int(&v, "as_of", 0, u32::MAX.into())?;
+            let top_k = optional_int(&v, "top_k", 1, DETECT_MAX_TOP_K as u64)?
+                .unwrap_or(DETECT_DEFAULT_TOP_K);
             Request::Detect { snapshot, client, as_of, top_k }
         }
         "analyze" => {
@@ -379,7 +354,7 @@ pub fn parse_request(line: &str) -> Result<Request, VnetError> {
             }
             let options = parse_options(&v["options"])?;
             let client = v["client"].as_str().unwrap_or("").to_string();
-            let as_of = optional_u32(&v, "as_of", AS_OF_MESSAGE)?;
+            let as_of = optional_int(&v, "as_of", 0, u32::MAX.into())?;
             Request::Analyze { snapshot, sections, options, client, as_of }
         }
         "status" => Request::Status { snapshot: v["snapshot"].as_str().map(str::to_string) },
@@ -396,18 +371,10 @@ pub fn parse_request(line: &str) -> Result<Request, VnetError> {
             Request::Metrics { snapshot: v["snapshot"].as_str().map(str::to_string), format }
         }
         "watch" => {
-            let interval_ms = v["interval_ms"].as_u64().unwrap_or(1_000);
-            if !(WATCH_MIN_INTERVAL_MS..=WATCH_MAX_INTERVAL_MS).contains(&interval_ms) {
-                return Err(VnetError::BadRequest(format!(
-                    "'watch' interval_ms must be in [{WATCH_MIN_INTERVAL_MS}, {WATCH_MAX_INTERVAL_MS}]"
-                )));
-            }
-            let frames = v["frames"].as_u64().unwrap_or(5);
-            if !(1..=WATCH_MAX_FRAMES).contains(&frames) {
-                return Err(VnetError::BadRequest(format!(
-                    "'watch' frames must be in [1, {WATCH_MAX_FRAMES}]"
-                )));
-            }
+            let interval_ms =
+                optional_int(&v, "interval_ms", WATCH_MIN_INTERVAL_MS, WATCH_MAX_INTERVAL_MS)?
+                    .unwrap_or(1_000);
+            let frames = optional_int(&v, "frames", 1, WATCH_MAX_FRAMES)?.unwrap_or(5);
             Request::Watch {
                 snapshot: v["snapshot"].as_str().map(str::to_string),
                 interval_ms,
@@ -551,6 +518,8 @@ mod tests {
             r#"{"v":1,"cmd":"register","name":"a","scale":"small","churn_days":100000}"#,
             r#"{"v":1,"cmd":"register","name":"a","scale":"small","churn_seed":7}"#,
             r#"{"v":1,"cmd":"register","name":"a","scale":"small","churn_days":30,"churn_shock_day":4294967306}"#,
+            r#"{"v":1,"cmd":"register","name":"a","scale":"small","churn_days":"30"}"#,
+            r#"{"v":1,"cmd":"register","name":"a","scale":"small","churn_days":30,"churn_seed":-7}"#,
         ] {
             let e = parse_request(bad).unwrap_err();
             assert_eq!(e.code(), "bad_request", "line {bad} gave {e}");
@@ -663,10 +632,19 @@ mod tests {
             r#"{"v":1,"cmd":"watch","interval_ms":100000}"#,
             r#"{"v":1,"cmd":"watch","frames":0}"#,
             r#"{"v":1,"cmd":"watch","frames":1000000}"#,
+            // Present but not a u64: refused, not replaced by the default.
+            r#"{"v":1,"cmd":"watch","frames":-1}"#,
+            r#"{"v":1,"cmd":"watch","frames":2.5}"#,
+            r#"{"v":1,"cmd":"watch","interval_ms":"fast"}"#,
+            r#"{"v":1,"cmd":"watch","interval_ms":-50}"#,
         ] {
             let e = parse_request(bad).unwrap_err();
             assert_eq!(e.code(), "bad_request", "line {bad} gave {e}");
         }
+        let e = parse_request(r#"{"v":1,"cmd":"watch","interval_ms":"fast"}"#).unwrap_err();
+        assert!(e.to_string().contains("'interval_ms' must be an integer in [10, 60000]"), "{e}");
+        let e = parse_request(r#"{"v":1,"cmd":"watch","frames":-1}"#).unwrap_err();
+        assert!(e.to_string().contains("'frames' must be an integer in [1, 100000]"), "{e}");
     }
 
     #[test]
@@ -697,6 +675,12 @@ mod tests {
             r#"{"v":1,"cmd":"analyze","snapshot":"a","sections":["basic"],"options":{"fig1_bins":0}}"#,
             r#"{"v":1,"cmd":"analyze","snapshot":"a","sections":["basic"],"options":{"seed":-1}}"#,
             r#"{"v":1,"cmd":"analyze","snapshot":"a","sections":["basic"],"options":{"lag_cap":"40"}}"#,
+            // `top_k` past the cap, however wide: 2^32 + 1 read `as usize`
+            // is 1 on a 32-bit target.
+            r#"{"v":1,"cmd":"detect","snapshot":"a","top_k":4294967297}"#,
+            r#"{"v":1,"cmd":"detect","snapshot":"a","top_k":18446744073709551615}"#,
+            r#"{"v":1,"cmd":"detect","snapshot":"a","top_k":-3}"#,
+            r#"{"v":1,"cmd":"detect","snapshot":"a","top_k":"5"}"#,
         ] {
             let e = parse_request(line).unwrap_err();
             assert_eq!(e.code(), "bad_request", "line {line} gave {e}");
@@ -706,6 +690,9 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.to_string().contains("'fig1_bins' must be an integer in [1, 10000]"), "{e}");
+        let e = parse_request(r#"{"v":1,"cmd":"detect","snapshot":"a","top_k":4294967297}"#)
+            .unwrap_err();
+        assert!(e.to_string().contains("'top_k' must be an integer in [1, 10000]"), "{e}");
         let e = parse_request(r#"{"v":1,"cmd":"analyze","snapshot":"a","sections":["nope"]}"#)
             .unwrap_err();
         assert_eq!(e.code(), "unknown_section");

@@ -6,15 +6,19 @@
 use crate::{Result, StatsError};
 
 /// Two-sample KS statistic: the sup-distance between the empirical CDFs
-/// of `a` and `b`.
+/// of `a` and `b`. A NaN in either sample has no place in an empirical
+/// CDF and is an `InvalidParameter` error.
 pub fn ks_two_sample_statistic(a: &[f64], b: &[f64]) -> Result<f64> {
     if a.is_empty() || b.is_empty() {
         return Err(StatsError::EmptyInput);
     }
+    if a.iter().chain(b).any(|x| x.is_nan()) {
+        return Err(StatsError::InvalidParameter("NaN in a KS sample"));
+    }
     let mut xs = a.to_vec();
     let mut ys = b.to_vec();
-    xs.sort_by(|p, q| p.partial_cmp(q).ok_or(StatsError::InvalidParameter("NaN")).unwrap());
-    ys.sort_by(|p, q| p.partial_cmp(q).unwrap());
+    xs.sort_by(f64::total_cmp);
+    ys.sort_by(f64::total_cmp);
     let (mut i, mut j) = (0usize, 0usize);
     let (na, nb) = (xs.len() as f64, ys.len() as f64);
     let mut d: f64 = 0.0;
@@ -126,5 +130,18 @@ mod tests {
         let d = ks_two_sample_statistic(&a, &b).unwrap();
         assert!((0.0..=1.0).contains(&d));
         assert!(ks_two_sample_statistic(&[], &b).is_err());
+    }
+
+    #[test]
+    fn nan_in_either_sample_is_a_typed_error() {
+        let clean = [1.0, 2.0, 3.0];
+        let dirty = [1.0, f64::NAN, 3.0];
+        for (a, b) in [(&dirty, &clean), (&clean, &dirty)] {
+            assert_eq!(
+                ks_two_sample_statistic(a, b),
+                Err(StatsError::InvalidParameter("NaN in a KS sample"))
+            );
+            assert!(ks_two_sample(a, b).is_err());
+        }
     }
 }

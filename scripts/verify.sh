@@ -14,6 +14,11 @@
 #                             registry at >= 2 recording threads)
 #   scripts/verify.sh par     parallelism lane: vnet-par unit tests + the
 #                             cross-thread-count determinism battery
+#   scripts/verify.sh powerlaw
+#                             power-law lane: the vnet-stats and
+#                             vnet-powerlaw unit batteries, the bit pins
+#                             of the Vuong rows, and the stats/powerlaw
+#                             clippy wall (no unwrap)
 #   scripts/verify.sh serve   service lane: vnet-serve unit tests + the
 #                             loopback wire-protocol, concurrency,
 #                             admission and shard-isolation batteries (the
@@ -47,8 +52,9 @@
 #                             detect wire battery, and the detect-scoped
 #                             clippy wall
 #   scripts/verify.sh         tier-1: release build + full quiet test suite
-#   scripts/verify.sh full    tier-1 plus the serve, temporal, serve-soak,
-#                             sybil, obs-bench and graph-scale lanes,
+#   scripts/verify.sh full    tier-1 plus the powerlaw, serve, temporal,
+#                             serve-soak, sybil, obs-bench and graph-scale
+#                             lanes,
 #                             workspace clippy and rustdoc with warnings
 #                             denied, and the grep lints that keep deleted
 #                             APIs deleted (no *_observed entrypoint, no
@@ -80,6 +86,13 @@ obs-bench)
 par)
     cargo test -q -p vnet-par
     cargo test -q -p vnet-integration-tests --test par_determinism
+    ;;
+powerlaw)
+    cargo test -q -p vnet-stats -p vnet-powerlaw
+    cargo test -q -p vnet-integration-tests --test vuong_pin
+    # The degrees and eigen fits run on serve worker threads on every
+    # analyze miss; they hold the same no-unwrap wall as the serve crate.
+    cargo clippy -p vnet-stats -p vnet-powerlaw --no-deps -- -D warnings -D clippy::unwrap_used
     ;;
 serve)
     cargo test -q -p vnet-serve
@@ -134,6 +147,7 @@ tier1)
 full)
     cargo build --release
     cargo test -q
+    "$0" powerlaw
     "$0" serve
     "$0" temporal
     "$0" serve-soak
@@ -175,7 +189,7 @@ full)
     fi
     ;;
 *)
-    echo "usage: scripts/verify.sh [fast|obs|obs-bench|par|serve|graph-scale|temporal|serve-soak|sybil|tier1|full]" >&2
+    echo "usage: scripts/verify.sh [fast|obs|obs-bench|par|powerlaw|serve|graph-scale|temporal|serve-soak|sybil|tier1|full]" >&2
     exit 2
     ;;
 esac
