@@ -12,7 +12,7 @@
 //! Implementation: the O(V + E) bucket algorithm of Batagelj & Zaveršnik
 //! on the undirected projection of the follow graph.
 
-use vnet_graph::{DiGraph, NodeId};
+use vnet_graph::{NodeId, Undirected};
 
 /// Result of a k-core decomposition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,15 +52,12 @@ impl CoreDecomposition {
 
 /// Batagelj–Zaveršnik bucket k-core on the undirected projection
 /// (mutual and one-way edges both count once).
-pub fn k_core_decomposition(g: &DiGraph) -> CoreDecomposition {
-    let n = g.node_count();
+pub fn k_core_decomposition(und: &Undirected) -> CoreDecomposition {
+    let n = und.node_count();
     if n == 0 {
         return CoreDecomposition { coreness: Vec::new(), degeneracy: 0 };
     }
-    // Undirected degrees.
-    let mut degree: Vec<u32> = (0..n as u32)
-        .map(|v| crate::clustering::undirected_neighbors(g, v).len() as u32)
-        .collect();
+    let mut degree: Vec<u32> = (0..n as u32).map(|v| und.degree(v) as u32).collect();
     let max_deg = degree.iter().copied().max().unwrap_or(0) as usize;
 
     // Bucket sort nodes by degree.
@@ -94,7 +91,7 @@ pub fn k_core_decomposition(g: &DiGraph) -> CoreDecomposition {
         coreness[v as usize] = dv;
         degeneracy = degeneracy.max(dv);
         // "Delete" v: decrement each not-yet-processed neighbor.
-        for u in crate::clustering::undirected_neighbors(g, v) {
+        for &u in und.neighbors(v) {
             let du = degree[u as usize];
             if du > dv {
                 // Swap u to the front of its degree bucket, then shrink.
@@ -118,7 +115,11 @@ pub fn k_core_decomposition(g: &DiGraph) -> CoreDecomposition {
 mod tests {
     use super::*;
     use vnet_graph::builder::from_edges;
-    use vnet_graph::GraphBuilder;
+    use vnet_graph::{DiGraph, GraphBuilder};
+
+    fn decompose(g: &DiGraph) -> CoreDecomposition {
+        k_core_decomposition(&Undirected::from_digraph(g))
+    }
 
     #[test]
     fn clique_has_uniform_coreness() {
@@ -131,7 +132,7 @@ mod tests {
                 }
             }
         }
-        let d = k_core_decomposition(&b.build());
+        let d = decompose(&b.build());
         assert_eq!(d.degeneracy, 4);
         assert_eq!(d.coreness, vec![4; 5]);
         assert_eq!(d.inner_core().len(), 5);
@@ -140,7 +141,7 @@ mod tests {
     #[test]
     fn pendant_chain_has_coreness_one() {
         let g = from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
-        let d = k_core_decomposition(&g);
+        let d = decompose(&g);
         assert_eq!(d.degeneracy, 1);
         assert_eq!(d.coreness, vec![1; 4]);
     }
@@ -158,7 +159,7 @@ mod tests {
         }
         b.add_edge(3, 4).unwrap();
         b.add_edge(4, 5).unwrap();
-        let d = k_core_decomposition(&b.build());
+        let d = decompose(&b.build());
         assert_eq!(d.degeneracy, 3);
         assert_eq!(&d.coreness[..4], &[3, 3, 3, 3]);
         assert_eq!(&d.coreness[4..], &[1, 1]);
@@ -169,7 +170,7 @@ mod tests {
     #[test]
     fn isolated_nodes_have_zero_coreness() {
         let g = from_edges(4, &[(0, 1), (1, 0)]).unwrap();
-        let d = k_core_decomposition(&g);
+        let d = decompose(&g);
         assert_eq!(d.coreness, vec![1, 1, 0, 0]);
         assert_eq!(d.shell_sizes()[0], 2);
     }
@@ -178,7 +179,7 @@ mod tests {
     fn mutual_edges_not_double_counted() {
         // 0 <-> 1 <-> 2 <-> 0 (mutual triangle): undirected K3, coreness 2.
         let g = from_edges(3, &[(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)]).unwrap();
-        let d = k_core_decomposition(&g);
+        let d = decompose(&g);
         assert_eq!(d.coreness, vec![2, 2, 2]);
     }
 
@@ -190,10 +191,10 @@ mod tests {
             &[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (6, 0), (0, 7)],
         )
         .unwrap();
-        let d = k_core_decomposition(&g);
+        let und = Undirected::from_digraph(&g);
+        let d = k_core_decomposition(&und);
         for v in 0..8u32 {
-            let deg = crate::clustering::undirected_neighbors(&g, v).len() as u32;
-            assert!(d.coreness[v as usize] <= deg);
+            assert!(d.coreness[v as usize] <= und.degree(v) as u32);
         }
         // The k-core member list shrinks as k grows.
         for k in 0..d.degeneracy {
@@ -203,7 +204,7 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let d = k_core_decomposition(&vnet_graph::DiGraph::empty(0));
+        let d = decompose(&DiGraph::empty(0));
         assert_eq!(d.degeneracy, 0);
         assert!(d.coreness.is_empty());
     }

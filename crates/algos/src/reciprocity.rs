@@ -5,33 +5,39 @@
 //! directed edges, against 22.1% for all of Twitter (Kwak et al.) and 68%
 //! for Flickr.
 
-use vnet_graph::{DiGraph, NodeId};
+use vnet_graph::{common_count, for_each_common, DiGraph, NodeId};
 
 /// Fraction of directed edges `u → v` for which `v → u` also exists.
-///
-/// `O(E log d̄)` via binary search on sorted adjacency.
+/// Linear: one out ∩ in intersection per node.
 pub fn reciprocity(g: &DiGraph) -> f64 {
-    if g.edge_count() == 0 {
+    reciprocity_among(g, |_| true)
+}
+
+/// [`reciprocity`] of the sub-graph induced by the nodes `keep` accepts,
+/// counted in place: over kept `u`, the out-edges to kept nodes and the
+/// kept mutual partners `out(u) ∩ in(u)`. Equal, bit for bit, to
+/// `reciprocity(&induced_subgraph(g, &kept).graph)`, without building it.
+pub fn reciprocity_among(g: &DiGraph, keep: impl Fn(NodeId) -> bool) -> f64 {
+    let (mut edges, mut reciprocated) = (0u64, 0u64);
+    for u in g.nodes().filter(|&u| keep(u)) {
+        edges += g.out_neighbors(u).iter().filter(|&&v| keep(v)).count() as u64;
+        for_each_common(g.out_neighbors(u), g.in_neighbors(u), |v| {
+            if keep(v) {
+                reciprocated += 1;
+            }
+        });
+    }
+    if edges == 0 {
         return 0.0;
     }
-    let mut reciprocated: u64 = 0;
-    for (u, v) in g.edges() {
-        if g.has_edge(v, u) {
-            reciprocated += 1;
-        }
-    }
-    reciprocated as f64 / g.edge_count() as f64
+    reciprocated as f64 / edges as f64
 }
 
 /// Count of unordered node pairs with edges in both directions.
 pub fn mutual_pairs(g: &DiGraph) -> u64 {
-    let mut mutual: u64 = 0;
-    for (u, v) in g.edges() {
-        if u < v && g.has_edge(v, u) {
-            mutual += 1;
-        }
-    }
-    mutual
+    let both_sides: u64 =
+        g.nodes().map(|u| common_count(g.out_neighbors(u), g.in_neighbors(u))).sum();
+    both_sides / 2
 }
 
 /// Per-node reciprocity: of `u`'s out-edges, the fraction reciprocated.
@@ -41,8 +47,7 @@ pub fn node_reciprocity(g: &DiGraph, u: NodeId) -> Option<f64> {
     if out.is_empty() {
         return None;
     }
-    let r = out.iter().filter(|&&v| g.has_edge(v, u)).count();
-    Some(r as f64 / out.len() as f64)
+    Some(common_count(out, g.in_neighbors(u)) as f64 / out.len() as f64)
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@ use vnet_algos::pagerank::{pagerank, PageRankConfig};
 use vnet_bench::bench_dataset;
 use vnet_ctx::AnalysisCtx;
 use vnet_graph::builder::from_edges;
+use vnet_graph::Undirected;
 
 fn bench_pagerank(c: &mut Criterion) {
     let g = &bench_dataset().graph;
@@ -85,7 +86,7 @@ fn bench_extension_centralities(c: &mut Criterion) {
         b.iter(|| black_box(hits(black_box(g), 1e-10, 200)).iterations)
     });
     group.bench_function("kcore_decomposition", |b| {
-        b.iter(|| black_box(k_core_decomposition(black_box(g))).degeneracy)
+        b.iter(|| black_box(k_core_decomposition(&Undirected::from_digraph(black_box(g)))).degeneracy)
     });
     group.bench_function("harmonic_closeness_50_pivots", |b| {
         b.iter(|| {

@@ -112,12 +112,7 @@ mod tests {
         // 3.24).
         assert!(r.alpha > 2.0 && r.alpha < 5.5, "alpha={}", r.alpha);
         // λ_max >= d_max + 1.
-        let dmax = (0..ds.graph.node_count() as u32)
-            .map(|v| {
-                vnet_algos::clustering::undirected_neighbors(&ds.graph, v).len()
-            })
-            .max()
-            .unwrap() as f64;
+        let dmax = SymLaplacian::from_digraph(&ds.graph).max_degree();
         assert!(r.eigenvalues[0] >= dmax + 1.0 - 1e-6, "λmax {} vs dmax {dmax}", r.eigenvalues[0]);
     }
 }

@@ -18,8 +18,8 @@
 use crate::dataset::Dataset;
 use serde::Serialize;
 use vnet_algos::kcore::k_core_decomposition;
-use vnet_algos::reciprocity::reciprocity;
-use vnet_graph::induced_subgraph;
+use vnet_algos::reciprocity::reciprocity_among;
+use vnet_graph::Undirected;
 
 /// Reciprocity and reach within one coreness band.
 #[derive(Debug, Clone, Serialize)]
@@ -54,8 +54,7 @@ pub struct EliteCoreReport {
 /// degeneracy core.
 pub fn elite_core_analysis(dataset: &Dataset) -> EliteCoreReport {
     let g = &dataset.graph;
-    let decomp = k_core_decomposition(g);
-    let overall = reciprocity(g);
+    let decomp = k_core_decomposition(&Undirected::from_digraph(g));
     let followers = dataset.followers();
 
     // Quartile thresholds over nonzero coreness.
@@ -76,7 +75,6 @@ pub fn elite_core_analysis(dataset: &Dataset) -> EliteCoreReport {
         .iter()
         .map(|&k| {
             let members = decomp.k_core_members(k);
-            let sub = induced_subgraph(g, &members);
             let mean_followers = if members.is_empty() {
                 0.0
             } else {
@@ -86,14 +84,16 @@ pub fn elite_core_analysis(dataset: &Dataset) -> EliteCoreReport {
             CoreBand {
                 min_coreness: k,
                 members: members.len(),
-                reciprocity: reciprocity(&sub.graph),
+                reciprocity: reciprocity_among(g, |v| decomp.coreness[v as usize] >= k),
                 mean_followers,
             }
         })
         .collect();
 
+    // Threshold 0 keeps every node, so band 0 is the whole graph.
+    let overall = bands[0].reciprocity;
     let innermost = bands.last().expect("at least the 0-band exists");
-    let periphery_reach = bands.first().map(|b| b.mean_followers).unwrap_or(0.0);
+    let periphery_reach = bands[0].mean_followers;
     EliteCoreReport {
         degeneracy: decomp.degeneracy,
         overall_reciprocity: overall,

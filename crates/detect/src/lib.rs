@@ -41,7 +41,7 @@
 use std::collections::BTreeMap;
 
 use vnet_ctx::AnalysisCtx;
-use vnet_graph::{DiGraph, NodeId};
+use vnet_graph::{common_count, for_each_common, DiGraph, NodeId};
 use vnet_powerlaw::{fit_discrete, DiscreteFit, FitOptions};
 use vnet_timeseries::pelt::pelt_with_min_seg;
 
@@ -235,23 +235,6 @@ fn deviation_scores(
     (scores, fit_out, fit_in)
 }
 
-/// Count elements common to two sorted ascending slices.
-fn sorted_intersection_len(a: &[NodeId], b: &[NodeId]) -> u64 {
-    let (mut i, mut j, mut count) = (0usize, 0usize, 0u64);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                count += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    count
-}
-
 /// Reciprocity/hub-type scores: `ρ(u) · m/(m+3) · m/(m + mean_ext)` where
 /// `ρ` is the node's mutual share of its undirected neighborhood, `m` its
 /// mutual-partner count, and `mean_ext` the average *external* validation
@@ -266,7 +249,7 @@ fn reciprocity_scores(g: &DiGraph) -> Vec<f64> {
     let n = g.node_count();
     // Pass 1: mutual count per node.
     let mutual: Vec<u64> = (0..n as NodeId)
-        .map(|u| sorted_intersection_len(g.out_neighbors(u), g.in_neighbors(u)))
+        .map(|u| common_count(g.out_neighbors(u), g.in_neighbors(u)))
         .collect();
     // Pass 2: the damped score.
     (0..n as NodeId)
@@ -277,24 +260,12 @@ fn reciprocity_scores(g: &DiGraph) -> Vec<f64> {
             }
             let und = g.out_degree(u) as u64 + g.in_degree(u) as u64 - m;
             let rho = m as f64 / und.max(1) as f64;
-            // Mutual partners = out ∩ in, walked via the smaller list.
-            let (mut i, mut j) = (0usize, 0usize);
-            let (outs, ins) = (g.out_neighbors(u), g.in_neighbors(u));
+            // Mutual partners = out ∩ in, visited in ascending order.
             let mut ext_sum = 0.0f64;
-            while i < outs.len() && j < ins.len() {
-                match outs[i].cmp(&ins[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        let v = outs[i];
-                        let ext =
-                            (g.in_degree(v) as u64).saturating_sub(mutual[v as usize]);
-                        ext_sum += ext as f64;
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
+            for_each_common(g.out_neighbors(u), g.in_neighbors(u), |v| {
+                let ext = (g.in_degree(v) as u64).saturating_sub(mutual[v as usize]);
+                ext_sum += ext as f64;
+            });
             let mean_ext = ext_sum / m as f64;
             rho * (m as f64 / (m as f64 + 3.0)) * (m as f64 / (m as f64 + mean_ext))
         })

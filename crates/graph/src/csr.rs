@@ -11,8 +11,9 @@ pub type NodeId = u32;
 /// An immutable directed graph in compressed-sparse-row form, storing both
 /// out-adjacency (who a node follows) and in-adjacency (who follows a node).
 ///
-/// Neighbor lists are sorted, enabling `O(log d)` [`DiGraph::has_edge`]
-/// checks — the primitive behind reciprocity counting.
+/// Neighbor lists are sorted and duplicate-free, enabling `O(log d)`
+/// [`DiGraph::has_edge`] checks and linear merges and intersections of a
+/// node's two lists (see [`crate::undirected`]).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DiGraph {
     n: u32,

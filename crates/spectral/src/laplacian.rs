@@ -1,6 +1,6 @@
 //! The symmetric graph Laplacian as a matrix-free CSR operator.
 
-use vnet_graph::DiGraph;
+use vnet_graph::{DiGraph, NodeId, Undirected};
 use vnet_par::{ParPool, ParStats};
 
 /// Rows per fork-join task in [`SymLaplacian::matvec_into_pool`]. Fixed per
@@ -14,65 +14,47 @@ const ROW_CHUNK: usize = 4096;
 /// directed graph (an undirected edge `{u, v}` exists when either `u → v`
 /// or `v → u` does).
 ///
-/// Stored as CSR over the symmetrized adjacency; the only operation exposed
+/// Wraps the graph's [`Undirected`] projection; the only operation exposed
 /// is the matrix-vector product, which is all both eigensolvers need.
 #[derive(Debug, Clone)]
 pub struct SymLaplacian {
-    n: usize,
-    offsets: Vec<u64>,
-    neighbors: Vec<u32>,
-    degree: Vec<f64>,
+    adj: Undirected,
 }
 
 impl SymLaplacian {
     /// Build from a directed graph by symmetrizing its edge set.
     pub fn from_digraph(g: &DiGraph) -> Self {
-        let n = g.node_count();
-        // Merge out- and in-lists (both sorted) per node through one
-        // reusable buffer — a per-node Vec here would mean V transient
-        // allocations on a build that is otherwise two arena writes.
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut neighbors: Vec<u32> = Vec::with_capacity(2 * g.edge_count());
-        let mut merged: Vec<u32> = Vec::new();
-        offsets.push(0u64);
-        for u in 0..n as u32 {
-            merge_sorted_unique_into(g.out_neighbors(u), g.in_neighbors(u), u, &mut merged);
-            neighbors.extend_from_slice(&merged);
-            offsets.push(neighbors.len() as u64);
-        }
-        let degree: Vec<f64> =
-            (0..n).map(|u| (offsets[u + 1] - offsets[u]) as f64).collect();
-        Self { n, offsets, neighbors, degree }
+        Self { adj: Undirected::from_digraph(g) }
     }
 
     /// Dimension of the operator.
     pub fn dim(&self) -> usize {
-        self.n
+        self.adj.node_count()
     }
 
     /// Undirected degree of node `u`.
     pub fn degree(&self, u: usize) -> f64 {
-        self.degree[u]
+        self.adj.degree(u as NodeId) as f64
     }
 
     /// Maximum undirected degree; `λ_max(L) ≤ 2 · d_max` (and
     /// `λ_max ≥ d_max + 1` on any graph with an edge), giving cheap spectral
     /// bounds for tests.
     pub fn max_degree(&self) -> f64 {
-        self.degree.iter().cloned().fold(0.0, f64::max)
+        (0..self.dim()).map(|u| self.degree(u)).fold(0.0, f64::max)
     }
 
     /// `y = L x` (allocating). See [`SymLaplacian::matvec_into`].
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.n];
+        let mut y = vec![0.0; self.dim()];
         self.matvec_into(x, &mut y);
         y
     }
 
     /// `y = L x = D x − A x`, no allocation.
     pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.n, "matvec: dimension mismatch");
-        assert_eq!(y.len(), self.n, "matvec: output dimension mismatch");
+        assert_eq!(x.len(), self.dim(), "matvec: dimension mismatch");
+        assert_eq!(y.len(), self.dim(), "matvec: output dimension mismatch");
         for (u, slot) in y.iter_mut().enumerate() {
             *slot = self.row_apply(u, x);
         }
@@ -83,8 +65,8 @@ impl SymLaplacian {
     /// of `y`. Every row's accumulator is private, so the output is
     /// **bitwise identical** to the serial product at any thread count.
     pub fn matvec_into_pool(&self, x: &[f64], y: &mut [f64], pool: &ParPool) -> ParStats {
-        assert_eq!(x.len(), self.n, "matvec: dimension mismatch");
-        assert_eq!(y.len(), self.n, "matvec: output dimension mismatch");
+        assert_eq!(x.len(), self.dim(), "matvec: dimension mismatch");
+        assert_eq!(y.len(), self.dim(), "matvec: output dimension mismatch");
         pool.for_each_chunk_mut(y, ROW_CHUNK, |_task, offset, chunk| {
             for (k, slot) in chunk.iter_mut().enumerate() {
                 *slot = self.row_apply(offset + k, x);
@@ -96,49 +78,12 @@ impl SymLaplacian {
     /// CSR neighbor order.
     #[inline]
     fn row_apply(&self, u: usize, x: &[f64]) -> f64 {
-        let mut acc = self.degree[u] * x[u];
-        let (a, b) = (self.offsets[u] as usize, self.offsets[u + 1] as usize);
-        for &v in &self.neighbors[a..b] {
+        let nbrs = self.adj.neighbors(u as NodeId);
+        let mut acc = nbrs.len() as f64 * x[u];
+        for &v in nbrs {
             acc -= x[v as usize];
         }
         acc
-    }
-}
-
-/// Merge two sorted id slices into `out` (cleared first), sorted unique,
-/// excluding `skip` (self-loops never enter the Laplacian off-diagonal).
-fn merge_sorted_unique_into(a: &[u32], b: &[u32], skip: u32, out: &mut Vec<u32>) {
-    out.clear();
-    out.reserve(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() || j < b.len() {
-        let nxt = match (a.get(i), b.get(j)) {
-            (Some(&x), Some(&y)) if x == y => {
-                i += 1;
-                j += 1;
-                x
-            }
-            (Some(&x), Some(&y)) if x < y => {
-                i += 1;
-                x
-            }
-            (Some(_), Some(&y)) => {
-                j += 1;
-                y
-            }
-            (Some(&x), None) => {
-                i += 1;
-                x
-            }
-            (None, Some(&y)) => {
-                j += 1;
-                y
-            }
-            (None, None) => unreachable!(),
-        };
-        if nxt != skip && out.last() != Some(&nxt) {
-            out.push(nxt);
-        }
     }
 }
 

@@ -22,7 +22,7 @@
 //! remove; the directed edge `u → v` itself never affects the common-
 //! neighbor count (no self-loops, endpoints excluded by construction).
 
-use vnet_graph::{DiGraph, NodeId};
+use vnet_graph::{common_count, union_sorted, DiGraph, NodeId, Undirected};
 
 use crate::overlay::DeltaOverlay;
 
@@ -101,50 +101,6 @@ pub struct StructuralCounters {
     und_deg: Vec<u64>,
 }
 
-/// Merge a node's out- and in-neighbor lists into its sorted undirected
-/// neighbor set (both inputs ascending; output ascending, deduplicated).
-fn merged_undirected(out: impl Iterator<Item = NodeId>, inn: impl Iterator<Item = NodeId>) -> Vec<NodeId> {
-    let mut merged = Vec::new();
-    let mut out = out.peekable();
-    let mut inn = inn.peekable();
-    loop {
-        let pick = match (out.peek(), inn.peek()) {
-            (None, None) => break,
-            (Some(_), None) => out.next(),
-            (None, Some(_)) => inn.next(),
-            (Some(&a), Some(&b)) => {
-                if a <= b {
-                    if a == b {
-                        inn.next();
-                    }
-                    out.next()
-                } else {
-                    inn.next()
-                }
-            }
-        };
-        merged.push(pick.expect("peeked"));
-    }
-    merged
-}
-
-/// Count elements common to two sorted ascending slices.
-fn sorted_intersection_len(a: &[NodeId], b: &[NodeId]) -> u64 {
-    let (mut i, mut j, mut count) = (0usize, 0usize, 0u64);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                count += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    count
-}
-
 impl StructuralCounters {
     /// Count everything from scratch on a CSR graph. This is also the
     /// comparator the equivalence proptests recount with every day.
@@ -156,28 +112,18 @@ impl StructuralCounters {
         for u in 0..n as NodeId {
             out_deg[u as usize] = g.out_degree(u) as u64;
             in_deg[u as usize] = g.in_degree(u) as u64;
-            for &v in g.out_neighbors(u) {
-                if g.has_edge(v, u) {
-                    reciprocal += 1;
-                }
-            }
+            reciprocal += common_count(g.out_neighbors(u), g.in_neighbors(u));
         }
         // Undirected adjacency once, then degrees / wedges / closed wedges.
-        let und: Vec<Vec<NodeId>> = (0..n as NodeId)
-            .map(|u| {
-                merged_undirected(
-                    g.out_neighbors(u).iter().copied(),
-                    g.in_neighbors(u).iter().copied(),
-                )
-            })
-            .collect();
-        let und_deg: Vec<u64> = und.iter().map(|l| l.len() as u64).collect();
+        let und = Undirected::from_digraph(g);
+        let und_deg: Vec<u64> = (0..n as NodeId).map(|u| und.degree(u) as u64).collect();
         let wedges = und_deg.iter().map(|&d| d * d.saturating_sub(1) / 2).sum();
         let mut closed_wedges = 0u64;
-        for (u, list) in und.iter().enumerate() {
+        for u in 0..n as NodeId {
+            let list = und.neighbors(u);
             for &v in list {
-                if (v as usize) > u {
-                    closed_wedges += sorted_intersection_len(list, &und[v as usize]);
+                if v > u {
+                    closed_wedges += common_count(list, und.neighbors(v));
                 }
             }
         }
@@ -196,9 +142,9 @@ impl StructuralCounters {
     /// live state. Endpoints can never appear in the intersection (no
     /// self-loops), so no exclusion is needed.
     fn common_undirected(ov: &DeltaOverlay, u: NodeId, v: NodeId) -> u64 {
-        let nu = merged_undirected(ov.out_neighbors(u), ov.in_neighbors(u));
-        let nv = merged_undirected(ov.out_neighbors(v), ov.in_neighbors(v));
-        sorted_intersection_len(&nu, &nv)
+        let nu: Vec<NodeId> = union_sorted(ov.out_neighbors(u), ov.in_neighbors(u)).collect();
+        let nv: Vec<NodeId> = union_sorted(ov.out_neighbors(v), ov.in_neighbors(v)).collect();
+        common_count(&nu, &nv)
     }
 
     /// Validate a delta's endpoints against the counter state and the

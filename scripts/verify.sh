@@ -14,16 +14,23 @@
 #                             registry at >= 2 recording threads)
 #   scripts/verify.sh par     parallelism lane: vnet-par unit tests + the
 #                             cross-thread-count determinism battery
+#   scripts/verify.sh algos   projection lane: the vnet-graph, vnet-algos
+#                             and vnet-spectral unit batteries, the bit
+#                             pins of every undirected-projection
+#                             consumer, the brute-force reference
+#                             proptests, and the algos/spectral/core
+#                             clippy wall (no unwrap)
 #   scripts/verify.sh powerlaw
 #                             power-law lane: the vnet-stats and
 #                             vnet-powerlaw unit batteries, the bit pins
 #                             of the Vuong rows, and the stats/powerlaw
 #                             clippy wall (no unwrap)
-#   scripts/verify.sh serve   service lane: vnet-serve unit tests + the
-#                             loopback wire-protocol, concurrency,
-#                             admission and shard-isolation batteries (the
-#                             shard battery in both build profiles), with
-#                             the serve-scoped clippy wall
+#   scripts/verify.sh serve   service lane: vnet-serve and wire-parser
+#                             unit tests + the loopback wire-protocol,
+#                             hostile-input, concurrency, admission and
+#                             shard-isolation batteries (the shard battery
+#                             in both build profiles), with the
+#                             serve-scoped clippy wall
 #   scripts/verify.sh graph-scale
 #                             scaling lane: the StreamingBuilder unit +
 #                             proptest battery, the peak-budget and
@@ -52,16 +59,17 @@
 #                             detect wire battery, and the detect-scoped
 #                             clippy wall
 #   scripts/verify.sh         tier-1: release build + full quiet test suite
-#   scripts/verify.sh full    tier-1 plus the powerlaw, serve, temporal,
-#                             serve-soak, sybil, obs-bench and graph-scale
-#                             lanes,
+#   scripts/verify.sh full    tier-1 plus the algos, powerlaw, serve,
+#                             temporal, serve-soak, sybil, obs-bench and
+#                             graph-scale lanes,
 #                             workspace clippy and rustdoc with warnings
 #                             denied, and the grep lints that keep deleted
 #                             APIs deleted (no *_observed entrypoint, no
 #                             #[deprecated] item, no unversioned-envelope
 #                             support, see the migration table in
 #                             docs/API.md; no second CSR freeze, PageRank
-#                             loop or rate window)
+#                             loop, rate window, undirected merge or
+#                             sorted intersection)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -87,6 +95,15 @@ par)
     cargo test -q -p vnet-par
     cargo test -q -p vnet-integration-tests --test par_determinism
     ;;
+algos)
+    cargo test -q -p vnet-graph -p vnet-algos -p vnet-spectral
+    cargo test -q -p vnet-integration-tests --test projection_pin
+    cargo test -q -p vnet-integration-tests --test algorithm_references
+    # Clustering, k-core and the Laplacian run on serve worker threads on
+    # every analyze miss; they hold the same no-unwrap wall as the serve
+    # crate.
+    cargo clippy -p vnet-algos -p vnet-spectral -p verified-net --no-deps -- -D warnings -D clippy::unwrap_used
+    ;;
 powerlaw)
     cargo test -q -p vnet-stats -p vnet-powerlaw
     cargo test -q -p vnet-integration-tests --test vuong_pin
@@ -96,7 +113,11 @@ powerlaw)
     ;;
 serve)
     cargo test -q -p vnet-serve
+    # The vendored JSON parser reads every request line before admission.
+    cargo test -q -p serde_json
     cargo test -q -p vnet-integration-tests --test serve_protocol
+    # A test binary of its own: at a stack overflow it aborts alone.
+    cargo test -q -p vnet-integration-tests --test serve_hostile_input
     cargo test -q -p vnet-integration-tests --test serve_concurrency
     cargo test -q -p vnet-integration-tests --test serve_admission
     cargo test -q -p vnet-integration-tests --test serve_shards
@@ -147,6 +168,7 @@ tier1)
 full)
     cargo build --release
     cargo test -q
+    "$0" algos
     "$0" powerlaw
     "$0" serve
     "$0" temporal
@@ -187,9 +209,17 @@ full)
         echo "        charge through vnet_twittersim::RateWindow)" >&2
         exit 1
     fi
+    # One undirected projection: every out ∪ in merge and out ∩ in
+    # intersection goes through vnet_graph::undirected.
+    if grep -rn --include='*.rs' -E 'fn (undirected_neighbors|merge_sorted_unique_into|merged_undirected|sorted_intersection_len)\b' \
+        crates/ tests/ examples/; then
+        echo "error: a private undirected merge or sorted intersection reappeared" >&2
+        echo "       (use vnet_graph::{Undirected, union_sorted, for_each_common, common_count})" >&2
+        exit 1
+    fi
     ;;
 *)
-    echo "usage: scripts/verify.sh [fast|obs|obs-bench|par|powerlaw|serve|graph-scale|temporal|serve-soak|sybil|tier1|full]" >&2
+    echo "usage: scripts/verify.sh [fast|obs|obs-bench|par|algos|powerlaw|serve|graph-scale|temporal|serve-soak|sybil|tier1|full]" >&2
     exit 2
     ;;
 esac

@@ -5,13 +5,16 @@
 //! figures would be fiction.
 
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use vnet_algos::betweenness::betweenness_exact;
+use vnet_algos::clustering::local_clustering;
 use vnet_algos::components::strongly_connected_components;
 use vnet_algos::distances::{bfs_distances, UNREACHABLE};
+use vnet_algos::kcore::k_core_decomposition;
 use vnet_algos::pagerank::{pagerank, PageRankConfig};
-use vnet_algos::reciprocity::reciprocity;
+use vnet_algos::reciprocity::{reciprocity, reciprocity_among};
 use vnet_graph::builder::from_edges;
-use vnet_graph::DiGraph;
+use vnet_graph::{common_count, for_each_common, induced_subgraph, DiGraph, NodeId, Undirected};
 use vnet_spectral::{lanczos_topk, SymLaplacian};
 
 /// Random edge list over `n` nodes from a proptest-provided pair vector.
@@ -135,8 +138,123 @@ fn dense_pagerank(g: &DiGraph, damping: f64, iters: usize) -> Vec<f64> {
     r
 }
 
+/// Each node's out ∪ in neighbours as a set.
+fn brute_undirected(g: &DiGraph) -> Vec<BTreeSet<NodeId>> {
+    g.nodes()
+        .map(|u| g.out_neighbors(u).iter().chain(g.in_neighbors(u)).copied().collect())
+        .collect()
+}
+
+/// Local clustering by enumerating neighbour pairs and probing both
+/// directions, with the kernel's own final arithmetic.
+fn brute_clustering(g: &DiGraph, nbrs: &BTreeSet<NodeId>) -> f64 {
+    let k = nbrs.len();
+    if k < 2 {
+        return 0.0;
+    }
+    let list: Vec<NodeId> = nbrs.iter().copied().collect();
+    let mut links = 0u64;
+    for (i, &a) in list.iter().enumerate() {
+        for &b in &list[i + 1..] {
+            if g.has_edge(a, b) || g.has_edge(b, a) {
+                links += 1;
+            }
+        }
+    }
+    links as f64 / (k as f64 * (k as f64 - 1.0) / 2.0)
+}
+
+/// Coreness by definition: for k = 1, 2, …, repeatedly delete every node
+/// of undirected degree < k; survivors have coreness ≥ k.
+fn brute_coreness(sets: &[BTreeSet<NodeId>]) -> Vec<u32> {
+    let n = sets.len();
+    let mut coreness = vec![0u32; n];
+    for k in 1..=n as u32 {
+        let mut alive = vec![true; n];
+        loop {
+            let doomed: Vec<usize> = (0..n)
+                .filter(|&v| {
+                    alive[v]
+                        && (sets[v].iter().filter(|&&w| alive[w as usize]).count() as u32) < k
+                })
+                .collect();
+            if doomed.is_empty() {
+                break;
+            }
+            for v in doomed {
+                alive[v] = false;
+            }
+        }
+        for v in (0..n).filter(|&v| alive[v]) {
+            coreness[v] = k;
+        }
+    }
+    coreness
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn projection_matches_neighbor_sets(raw in proptest::collection::vec((0u32..12, 0u32..12), 0..70)) {
+        let g = graph_from(12, &raw);
+        let und = Undirected::from_digraph(&g);
+        prop_assert_eq!(und.node_count(), 12);
+        for (u, set) in brute_undirected(&g).iter().enumerate() {
+            let expect: Vec<NodeId> = set.iter().copied().collect();
+            prop_assert_eq!(und.neighbors(u as NodeId), &expect[..], "u={}", u);
+            prop_assert_eq!(und.degree(u as NodeId), expect.len());
+        }
+    }
+
+    #[test]
+    fn intersection_matches_set_intersection(
+        raw_a in proptest::collection::vec(0u32..40, 0..25),
+        raw_b in proptest::collection::vec(0u32..40, 0..25),
+    ) {
+        let (a, b): (BTreeSet<NodeId>, BTreeSet<NodeId>) =
+            (raw_a.into_iter().collect(), raw_b.into_iter().collect());
+        let (va, vb): (Vec<NodeId>, Vec<NodeId>) =
+            (a.iter().copied().collect(), b.iter().copied().collect());
+        let expect: Vec<NodeId> = a.intersection(&b).copied().collect();
+        let mut seen = Vec::new();
+        for_each_common(&va, &vb, |v| seen.push(v));
+        prop_assert_eq!(&seen, &expect);
+        prop_assert_eq!(common_count(&va, &vb), expect.len() as u64);
+    }
+
+    #[test]
+    fn clustering_matches_pair_enumeration(raw in proptest::collection::vec((0u32..12, 0u32..12), 0..70)) {
+        let g = graph_from(12, &raw);
+        let und = Undirected::from_digraph(&g);
+        for (u, set) in brute_undirected(&g).iter().enumerate() {
+            let fast = local_clustering(&und, u as NodeId);
+            let brute = brute_clustering(&g, set);
+            prop_assert_eq!(fast.to_bits(), brute.to_bits(), "u={}: {} vs {}", u, fast, brute);
+        }
+    }
+
+    #[test]
+    fn kcore_matches_naive_peeling(raw in proptest::collection::vec((0u32..12, 0u32..12), 0..70)) {
+        let g = graph_from(12, &raw);
+        let d = k_core_decomposition(&Undirected::from_digraph(&g));
+        let brute = brute_coreness(&brute_undirected(&g));
+        prop_assert_eq!(&d.coreness, &brute);
+        prop_assert_eq!(d.degeneracy, brute.iter().copied().max().unwrap_or(0));
+    }
+
+    #[test]
+    fn reciprocity_among_matches_induced_subgraph(
+        raw in proptest::collection::vec((0u32..12, 0u32..12), 0..70),
+        mask in proptest::collection::vec(0u32..2, 12usize),
+    ) {
+        let g = graph_from(12, &raw);
+        let keep = |v: NodeId| mask[v as usize] == 1;
+        let kept: Vec<NodeId> = (0..12u32).filter(|&v| keep(v)).collect();
+        let fast = reciprocity_among(&g, keep);
+        let oracle = reciprocity(&induced_subgraph(&g, &kept).graph);
+        prop_assert_eq!(fast.to_bits(), oracle.to_bits(), "{} vs {}", fast, oracle);
+    }
 
     #[test]
     fn bfs_matches_floyd_warshall(raw in proptest::collection::vec((0u32..10, 0u32..10), 0..50)) {
