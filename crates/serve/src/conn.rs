@@ -74,9 +74,9 @@ impl ConnRegistry {
         } else {
             inner.live.insert(id, handle);
         }
-        let live = inner.live.len();
-        drop(inner);
-        shared.obs.set_gauge("serve.conn_active", &[], live as f64);
+        // Set under the lock, so concurrent updates land in the order
+        // their counts were taken and the last write is the live count.
+        shared.obs.set_gauge("serve.conn_active", &[], inner.live.len() as f64);
     }
 
     fn retire(&self, id: u64, shared: &Shared) {
@@ -85,9 +85,7 @@ impl ConnRegistry {
             Some(handle) => inner.finished.push(handle),
             None => inner.early_retired.push(id),
         }
-        let live = inner.live.len();
-        drop(inner);
-        shared.obs.set_gauge("serve.conn_active", &[], live as f64);
+        shared.obs.set_gauge("serve.conn_active", &[], inner.live.len() as f64);
     }
 
     /// Join every connection thread, live ones included — callers must

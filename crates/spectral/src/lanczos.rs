@@ -1,31 +1,94 @@
-//! Lanczos iteration with full reorthogonalization.
+//! Lanczos iteration with partial reorthogonalization.
+//!
+//! In floating point the Lanczos vectors drift away from orthogonal as
+//! Ritz values converge, and the tridiagonal matrix then grows ghost
+//! copies of the converged eigenvalues. Reorthogonalizing against the
+//! whole basis at every step prevents that, at `O(m² n)`. It is also more
+//! than needed: a *semi-orthogonal* basis, every overlap below `√ε`,
+//! already gives Ritz values as accurate as a fully orthogonal one.
+//!
+//! Partial reorthogonalization (Simon 1984, "The Lanczos algorithm with
+//! partial reorthogonalization", *Math. Comp.* 42) keeps the basis there.
+//! It carries an `O(j)`-per-step recurrence estimate `ω` of how far each
+//! new vector has drifted from orthogonal, and sweeps the vector against
+//! the basis only when the largest estimate passes `√ε`, and on the step
+//! after. A sweep is classical Gram–Schmidt, with a second pass only when
+//! the first shrinks the vector below `1/√2` of its norm (Daniel, Gragg,
+//! Kaufman & Stewart 1976, the "DGKS" test) or when the residual was at
+//! rounding level, below `√ε‖T‖`, to begin with.
+//!
+//! Each sweep runs in `ROW_CHUNK`-row tasks, the matvec's decomposition.
+//! Task `t` sums its rows' share of every coefficient in row order, the
+//! shares are added in task order on the caller's thread, and each task
+//! then subtracts the projections from its rows in basis order. The
+//! decomposition depends on `n` alone, so every bit is the same at any
+//! thread count.
+//!
+//! The iteration fans out only from 65,536 rows up. A smaller operator
+//! runs every matvec and sweep on the caller's thread, through the same
+//! row tasks in the same order. At that size each of them is a few
+//! milliseconds of work, and forking hundreds of them per call made the
+//! wall swing with the host's load instead of shrinking it.
 
-use crate::laplacian::SymLaplacian;
+use std::f64::consts::FRAC_1_SQRT_2;
+use std::ops::Range;
+use std::time::{Duration, Instant};
+
+use crate::laplacian::{SymLaplacian, ROW_CHUNK};
 use crate::tridiag::tridiag_eigenvalues;
 use rand::Rng;
-use vnet_ctx::AnalysisCtx;
+use vnet_ctx::{AnalysisCtx, ScratchArena};
 use vnet_par::{ParPool, ParStats};
 
+/// The `ε` of the orthogonality estimates.
+const EPS: f64 = f64::EPSILON;
+
+/// `√ε = 2⁻²⁶`: the semi-orthogonality level whose crossing triggers a
+/// sweep.
+const SQRT_EPS: f64 = 1.0 / 67_108_864.0;
+
+/// Basis vectors whose coefficients share one pass over a task's rows;
+/// their add chains are independent, so the products overlap.
+const DOT_BLOCK: usize = 8;
+
+/// Below this residual norm the Krylov space is exhausted.
+const RESTART_TOL: f64 = 1e-12;
+
+/// Operators with fewer rows run the whole iteration on the caller's
+/// thread. At the default tier (n 18,062: 5 row tasks, 450 matvecs and
+/// ~160 two-phase sweeps per call) the pooled Lanczos took 1.3 s against
+/// 1.7 s on an idle 2-core host, but 2.0–2.8 s against 2.0–2.3 s while one
+/// other thread kept a core busy: each fork, a few milliseconds of work,
+/// waited for whichever worker the host had descheduled. From 16 tasks up
+/// each fork carries at least 3.6× the default tier's work.
+const POOL_MIN_ROWS: usize = 16 * ROW_CHUNK;
+
 /// Approximate the largest `k` eigenvalues of the Laplacian with `steps`
-/// Lanczos iterations (full reorthogonalization), returned in *descending*
-/// order.
+/// Lanczos iterations (partial reorthogonalization), returned in
+/// *descending* order.
 ///
 /// `steps` should comfortably exceed `k` (a 2–3× margin is typical); it is
 /// clamped to the operator dimension, in which case the Ritz values are
 /// exact eigenvalues up to the tridiagonal tolerance.
 ///
-/// Full reorthogonalization costs `O(steps² · n)` but eliminates the ghost
-/// eigenvalue problem, which matters here: the power-law fit of Section
-/// IV-B is on the eigenvalue *distribution*, and spurious duplicates would
-/// bias the tail weight.
+/// The basis is kept semi-orthogonal (see the module docs), which rules
+/// out the ghost eigenvalues that matter here: the power-law fit of
+/// Section IV-B is on the eigenvalue *distribution*, and spurious
+/// duplicates would bias the tail weight. The cost is `O(m·E)` for the
+/// `m = steps` matvecs plus `O(s·m·n)` for the `s` sweeps; `s` depends on
+/// the spectrum, about a third of the steps on the follow graphs here.
+/// Only the `k` kept Ritz values are bisected.
 ///
-/// The canonical context-taking entrypoint: only the operator application
-/// fans out over the context's pool (see [`SymLaplacian::matvec_into_pool`])
-/// — every row of `L v` is independent — so the Ritz values are **bitwise
-/// identical** to the serial iteration at any thread count; the recurrence
-/// itself (dot products, reorthogonalization) stays on the caller's thread
-/// where its sequential order is untouched. Work counters
-/// (`algo.lanczos.*`) and par accounting (stage `lanczos`) land on the
+/// The canonical context-taking entrypoint: on operators of at least
+/// 65,536 rows the operator application (see
+/// [`SymLaplacian::matvec_into_pool`]) and the sweeps fan out over the
+/// context's pool; smaller ones run on the caller's thread (see the module
+/// docs). Either way the row tasks' layout depends on `n` alone and every
+/// reduction runs in a fixed order, so the Ritz values are **bitwise
+/// identical** at any thread count. Work counters
+/// (`algo.lanczos.*`), par accounting (stage `lanczos`) and the walls of
+/// the matvecs, the reorthogonalization and the tridiagonal solve (stages
+/// `lanczos.matvec`, `lanczos.reorth`, `lanczos.tridiag`) land on the
 /// context's observability handle.
 pub fn lanczos_topk<R: Rng + ?Sized>(
     op: &SymLaplacian,
@@ -34,134 +97,17 @@ pub fn lanczos_topk<R: Rng + ?Sized>(
     rng: &mut R,
     ctx: &AnalysisCtx,
 ) -> Vec<f64> {
-    let started = std::time::Instant::now();
-    let (ev, stats, par) = lanczos_topk_impl(op, k, steps, rng, ctx.pool(), ctx.scratch());
-    let obs = ctx.obs();
-    obs.set_counter("algo.lanczos.matvecs", &[], stats.matvecs);
-    obs.set_counter("algo.lanczos.reorth_projections", &[], stats.reorth_projections);
-    obs.set_counter("algo.lanczos.restarts", &[], stats.restarts);
-    ctx.record_par("lanczos", &par);
-    ctx.observe_par_wall("lanczos", started.elapsed().as_micros() as u64);
-    ev
-}
-
-/// Work counters from a Lanczos run, for observability manifests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LanczosStats {
-    /// Operator applications (`matvec_into` calls).
-    pub matvecs: u64,
-    /// Basis-vector projections removed during reorthogonalization.
-    pub reorth_projections: u64,
-    /// Invariant-subspace restarts with a fresh random direction.
-    pub restarts: u64,
-}
-
-fn lanczos_topk_impl<R: Rng + ?Sized>(
-    op: &SymLaplacian,
-    k: usize,
-    steps: usize,
-    rng: &mut R,
-    pool: &ParPool,
-    scratch: &vnet_ctx::ScratchArena,
-) -> (Vec<f64>, LanczosStats, ParStats) {
-    let mut stats = LanczosStats::default();
-    let mut par_stats = ParStats::default();
-    let n = op.dim();
-    if n == 0 || k == 0 {
-        return (Vec::new(), stats, par_stats);
+    let started = Instant::now();
+    let m = if k == 0 { 0 } else { steps.max(k).min(op.dim()) };
+    let mut run = krylov(op, m, rng, &iteration_pool(op.dim(), ctx), ctx.scratch());
+    // Recycle the basis; the bounded arena keeps what fits.
+    for q in run.basis.drain(..) {
+        ctx.scratch().put_f64(q);
     }
-    let m = steps.max(k).min(n);
-
-    // Random unit start vector. All dense working vectors (the iterate,
-    // the mat-vec target, and each basis vector) come from the scratch
-    // arena and are filled before use, so reuse is invisible to numerics.
-    let mut v = scratch.take_f64(n);
-    for x in v.iter_mut() {
-        *x = rng.random::<f64>() - 0.5;
-    }
-    normalize(&mut v);
-
-    let mut basis: Vec<Vec<f64>> = Vec::with_capacity(m);
-    let mut alpha: Vec<f64> = Vec::with_capacity(m);
-    let mut beta: Vec<f64> = Vec::with_capacity(m.saturating_sub(1));
-    let mut w = scratch.take_f64(n);
-
-    for j in 0..m {
-        let mut snapshot = scratch.take_f64(n);
-        snapshot.copy_from_slice(&v);
-        basis.push(snapshot);
-        par_stats.merge(op.matvec_into_pool(&v, &mut w, pool));
-        stats.matvecs += 1;
-        let a = dot(&w, &v);
-        alpha.push(a);
-        // w -= a v + beta_{j-1} v_{j-1}
-        for i in 0..n {
-            w[i] -= a * v[i];
-        }
-        if j > 0 {
-            let b_prev = beta[j - 1];
-            let v_prev = &basis[j - 1];
-            for i in 0..n {
-                w[i] -= b_prev * v_prev[i];
-            }
-        }
-        // Full reorthogonalization (twice is enough — Parlett).
-        for _ in 0..2 {
-            for q in &basis {
-                let c = dot(&w, q);
-                if c != 0.0 {
-                    for i in 0..n {
-                        w[i] -= c * q[i];
-                    }
-                    stats.reorth_projections += 1;
-                }
-            }
-        }
-        let b = norm(&w);
-        if j + 1 == m {
-            break;
-        }
-        if b < 1e-12 {
-            // Invariant subspace exhausted: restart with a fresh random
-            // direction orthogonal to the current basis. The previous
-            // iterate is already snapshotted into `basis`, so `v` can be
-            // overwritten in place.
-            stats.restarts += 1;
-            for x in v.iter_mut() {
-                *x = rng.random::<f64>() - 0.5;
-            }
-            for q in &basis {
-                let c = dot(&v, q);
-                for i in 0..n {
-                    v[i] -= c * q[i];
-                }
-            }
-            let fb = norm(&v);
-            if fb < 1e-12 {
-                break; // space exhausted (n small)
-            }
-            for x in &mut v {
-                *x /= fb;
-            }
-            beta.push(0.0);
-        } else {
-            beta.push(b);
-            for (x, &wx) in v.iter_mut().zip(w.iter()) {
-                *x = wx / b;
-            }
-        }
-    }
-
-    // Recycle the working set; the bounded arena keeps what fits.
-    scratch.put_f64(v);
-    scratch.put_f64(w);
-    for q in basis {
-        scratch.put_f64(q);
-    }
-
-    let mut ev = tridiag_eigenvalues(&alpha, &beta, 1e-10);
+    let solve = Instant::now();
+    let mut ev = tridiag_eigenvalues(&run.alpha, &run.beta, k, 1e-10);
+    let tridiag = solve.elapsed();
     ev.reverse(); // descending
-    ev.truncate(k);
     // Laplacian eigenvalues are nonnegative; clip tiny negatives from
     // bisection tolerance.
     for x in &mut ev {
@@ -169,7 +115,298 @@ fn lanczos_topk_impl<R: Rng + ?Sized>(
             *x = 0.0;
         }
     }
-    (ev, stats, par_stats)
+
+    let obs = ctx.obs();
+    obs.set_counter("algo.lanczos.matvecs", &[], run.stats.matvecs);
+    obs.set_counter("algo.lanczos.reorth_projections", &[], run.stats.reorth_projections);
+    obs.set_counter("algo.lanczos.sweeps", &[], run.stats.sweeps);
+    obs.set_counter("algo.lanczos.restarts", &[], run.stats.restarts);
+    ctx.record_par("lanczos", &run.par);
+    for (stage, wall) in [
+        ("lanczos.matvec", run.matvec_wall),
+        ("lanczos.reorth", run.reorth_wall),
+        ("lanczos.tridiag", tridiag),
+        ("lanczos", started.elapsed()),
+    ] {
+        ctx.observe_par_wall(stage, wall.as_micros() as u64);
+    }
+    ev
+}
+
+/// The pool an `n`-row iteration runs on: the context's from
+/// `POOL_MIN_ROWS` up, the caller's thread below.
+fn iteration_pool(n: usize, ctx: &AnalysisCtx) -> ParPool {
+    if n >= POOL_MIN_ROWS {
+        *ctx.pool()
+    } else {
+        ParPool::serial()
+    }
+}
+
+/// Work counters from a Lanczos run, for observability manifests.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LanczosStats {
+    /// Operator applications (`matvec_into` calls).
+    pub matvecs: u64,
+    /// Basis-vector projections removed during reorthogonalization (those
+    /// with a nonzero coefficient).
+    pub reorth_projections: u64,
+    /// Steps whose new vector was swept against the basis.
+    pub sweeps: u64,
+    /// Invariant-subspace restarts with a fresh random direction.
+    pub restarts: u64,
+}
+
+/// What one Lanczos run leaves: the tridiagonal `T` (diagonal `alpha`,
+/// `beta[i]` coupling `q_i` and `q_{i+1}`), the basis it was built on, and
+/// the run's accounting.
+#[derive(Default)]
+struct Krylov {
+    alpha: Vec<f64>,
+    beta: Vec<f64>,
+    basis: Vec<Vec<f64>>,
+    stats: LanczosStats,
+    par: ParStats,
+    matvec_wall: Duration,
+    reorth_wall: Duration,
+}
+
+/// `m` Lanczos steps from a random unit start vector drawn from `rng`.
+fn krylov<R: Rng + ?Sized>(
+    op: &SymLaplacian,
+    m: usize,
+    rng: &mut R,
+    pool: &ParPool,
+    scratch: &ScratchArena,
+) -> Krylov {
+    let mut run = Krylov::default();
+    let n = op.dim();
+    if m == 0 {
+        return run;
+    }
+
+    // All dense working vectors (the iterate, the mat-vec target, and each
+    // basis vector) come from the scratch arena and are filled before use,
+    // so reuse is invisible to numerics. Everything else the step loop
+    // touches is allocated here, once.
+    let mut v = scratch.take_f64(n);
+    for x in v.iter_mut() {
+        *x = rng.random::<f64>() - 0.5;
+    }
+    normalize(&mut v);
+    let mut w = scratch.take_f64(n);
+    let mut sweeper = Sweeper::new(n, m);
+    run.basis.reserve(m);
+    run.alpha.reserve(m);
+    run.beta.reserve(m);
+    // Simon's ω rows for q_{j−1}, q_j and q_{j+1}: `row[i]` estimates the
+    // overlap with q_i, and `row[row's own index]` is 1.
+    let mut prev = vec![0.0; m];
+    let mut cur = vec![0.0; m];
+    let mut next = vec![0.0; m];
+    cur[0] = 1.0;
+    // Running estimate of ‖T‖, the scale of the local rounding error.
+    let mut t_norm = 0.0f64;
+    // Sweep this step because the previous one triggered.
+    let mut force = false;
+
+    for j in 0..m {
+        let mut snapshot = scratch.take_f64(n);
+        snapshot.copy_from_slice(&v);
+        run.basis.push(snapshot);
+        let t = Instant::now();
+        run.par.merge(op.matvec_into_pool(&v, &mut w, pool));
+        run.matvec_wall += t.elapsed();
+        run.stats.matvecs += 1;
+        let a = dot(&w, &v);
+        run.alpha.push(a);
+        // w -= a v + beta_{j-1} v_{j-1}
+        for i in 0..n {
+            w[i] -= a * v[i];
+        }
+        let b_prev = if j > 0 { run.beta[j - 1] } else { 0.0 };
+        if j > 0 {
+            let v_prev = &run.basis[j - 1];
+            for i in 0..n {
+                w[i] -= b_prev * v_prev[i];
+            }
+        }
+        if j + 1 == m {
+            break;
+        }
+
+        let t = Instant::now();
+        let mut b = norm(&w);
+        t_norm = t_norm.max(a.abs() + b + b_prev);
+        let lost = b > 0.0 && {
+            // The local term: the rounding of this step's matvec and
+            // three-term update, relative to the new coupling.
+            let psi = EPS * n as f64 * t_norm / b;
+            omega_step(&mut next, &cur, &prev, &run.alpha, &run.beta, b, psi) > SQRT_EPS
+        };
+        if force || lost {
+            // A residual below √ε‖T‖ is mostly rounding. One pass leaves
+            // it about as far from orthogonal as the basis vectors are from
+            // each other (up to √ε), not at the ε its reset row claims; the
+            // second pass closes that gap.
+            let breakdown = b < SQRT_EPS * t_norm;
+            run.stats.reorth_projections += sweeper.pass(&mut w, &run.basis, pool, &mut run.par);
+            let first = b;
+            b = norm(&w);
+            if breakdown || b < first * FRAC_1_SQRT_2 {
+                run.stats.reorth_projections +=
+                    sweeper.pass(&mut w, &run.basis, pool, &mut run.par);
+                b = norm(&w);
+            }
+            run.stats.sweeps += 1;
+            reset_row(&mut next, j);
+            force = !force;
+        }
+        if b < RESTART_TOL {
+            // Invariant subspace exhausted: restart with a fresh random
+            // direction orthogonal to the current basis. The previous
+            // iterate is already snapshotted into `basis`, so `v` can be
+            // overwritten in place.
+            run.stats.restarts += 1;
+            for x in v.iter_mut() {
+                *x = rng.random::<f64>() - 0.5;
+            }
+            for _ in 0..2 {
+                sweeper.pass(&mut v, &run.basis, pool, &mut run.par);
+            }
+            let fb = norm(&v);
+            if fb < RESTART_TOL {
+                break; // space exhausted (n small)
+            }
+            for x in &mut v {
+                *x /= fb;
+            }
+            run.beta.push(0.0);
+            reset_row(&mut next, j);
+        } else {
+            run.beta.push(b);
+            for (x, &wx) in v.iter_mut().zip(w.iter()) {
+                *x = wx / b;
+            }
+        }
+        run.reorth_wall += t.elapsed();
+        std::mem::swap(&mut prev, &mut cur);
+        std::mem::swap(&mut cur, &mut next);
+    }
+
+    scratch.put_f64(v);
+    scratch.put_f64(w);
+    run
+}
+
+/// Simon's recurrence for the overlaps `ω_{j+1,i} ≈ q_{j+1} · q_i` of the
+/// next basis vector, from the rows of `q_j` (`cur`) and `q_{j−1}`
+/// (`prev`). `alpha` holds `α_0..=α_j`, `beta[i]` couples `q_i` and
+/// `q_{i+1}` for `i < j`, `b` is the new coupling and `psi` the local
+/// term `ω_{j+1,j}`. Writes `next[..=j+1]` and returns the largest
+/// estimate off the diagonal.
+fn omega_step(
+    next: &mut [f64],
+    cur: &[f64],
+    prev: &[f64],
+    alpha: &[f64],
+    beta: &[f64],
+    b: f64,
+    psi: f64,
+) -> f64 {
+    let j = alpha.len() - 1;
+    let mut worst = psi;
+    for i in 0..j {
+        let mut t = beta[i] * cur[i + 1] + (alpha[i] - alpha[j]) * cur[i] - beta[j - 1] * prev[i];
+        if i > 0 {
+            t += beta[i - 1] * cur[i - 1];
+        }
+        // The step's rounding, ε(β_{i+1} + β_{j+1}), taken to push the
+        // overlap further the way it already leans.
+        t += (EPS * (beta[i] + b)).copysign(t);
+        next[i] = t / b;
+        worst = worst.max(next[i].abs());
+    }
+    next[j] = psi;
+    next[j + 1] = 1.0;
+    worst
+}
+
+/// The ω row of a vector at index `j + 1` that was just made orthogonal
+/// to `q_0..=q_j`: every overlap back to `ε`.
+fn reset_row(row: &mut [f64], j: usize) {
+    row[..=j].fill(EPS);
+    row[j + 1] = 1.0;
+}
+
+/// Classical Gram–Schmidt against the basis in `ROW_CHUNK`-row tasks on
+/// the pool. Its buffers are sized for the full basis once per call.
+struct Sweeper {
+    /// Task `t`'s share of every coefficient, at `t * stride..`.
+    partials: Vec<f64>,
+    /// The coefficients of the current pass.
+    coef: Vec<f64>,
+}
+
+impl Sweeper {
+    fn new(n: usize, m: usize) -> Self {
+        Self { partials: vec![0.0; n.div_ceil(ROW_CHUNK) * m], coef: vec![0.0; m] }
+    }
+
+    /// One pass, `x -= Σ_i (q_i · x) q_i` with every coefficient taken
+    /// from the same `x`. Returns how many coefficients were nonzero.
+    fn pass(&mut self, x: &mut [f64], basis: &[Vec<f64>], pool: &ParPool, par: &mut ParStats) -> u64 {
+        let len = basis.len();
+        let stride = self.coef.len();
+        let n = x.len();
+        let shared: &[f64] = x;
+        par.merge(pool.for_each_chunk_mut(&mut self.partials, stride, |t, _, share| {
+            let rows = t * ROW_CHUNK..((t + 1) * ROW_CHUNK).min(n);
+            partial_dots(&mut share[..len], basis, shared, rows);
+        }));
+        let coef = &mut self.coef[..len];
+        coef.copy_from_slice(&self.partials[..len]);
+        for share in self.partials.chunks(stride).skip(1) {
+            for (c, &s) in coef.iter_mut().zip(share) {
+                *c += s;
+            }
+        }
+        let coef: &[f64] = coef;
+        par.merge(pool.for_each_chunk_mut(x, ROW_CHUNK, |_, offset, chunk| {
+            for (q, &c) in basis.iter().zip(coef) {
+                if c != 0.0 {
+                    let q = &q[offset..offset + chunk.len()];
+                    for (y, &qy) in chunk.iter_mut().zip(q) {
+                        *y -= c * qy;
+                    }
+                }
+            }
+        }));
+        coef.iter().filter(|&&c| c != 0.0).count() as u64
+    }
+}
+
+/// `out[i] = Σ_{r ∈ rows} q_i[r] · x[r]` for every basis vector `q_i`,
+/// each sum accumulated in row order from zero. `DOT_BLOCK` vectors share
+/// one pass over the rows.
+fn partial_dots(out: &mut [f64], basis: &[Vec<f64>], x: &[f64], rows: Range<usize>) {
+    let x = &x[rows.clone()];
+    for (qs, out) in basis.chunks(DOT_BLOCK).zip(out.chunks_mut(DOT_BLOCK)) {
+        if qs.len() == DOT_BLOCK {
+            let qs: [&[f64]; DOT_BLOCK] = std::array::from_fn(|i| &qs[i][rows.clone()]);
+            let mut acc = [0.0f64; DOT_BLOCK];
+            for (r, &xr) in x.iter().enumerate() {
+                for (a, q) in acc.iter_mut().zip(&qs) {
+                    *a += q[r] * xr;
+                }
+            }
+            out.copy_from_slice(&acc);
+        } else {
+            for (o, q) in out.iter_mut().zip(qs) {
+                *o = q[rows.clone()].iter().zip(x).fold(0.0, |acc, (&qr, &xr)| acc + qr * xr);
+            }
+        }
+    }
 }
 
 fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -288,24 +525,56 @@ mod tests {
 
     #[test]
     fn pool_ritz_values_bitwise_equal_serial_across_thread_counts() {
-        let edges: Vec<(u32, u32)> = (0..60u32)
-            .flat_map(|i| [(i, (i * 17 + 3) % 60), (i, (i + 1) % 60)])
+        // Three row tasks per matvec and per sweep pass, so the sweeps'
+        // coefficient shares really are summed across tasks. Equal bits of
+        // T mean equal Ritz values.
+        let n = 2 * ROW_CHUNK as u32 + 1_000;
+        let edges: Vec<(u32, u32)> = (0..n)
+            .flat_map(|i| [(i, (i * 17 + 3) % n), (i, (i + 1) % n), (i, (i * i + 7) % n)])
             .filter(|(a, b)| a != b)
             .collect();
-        let g = from_edges(60, &edges).unwrap();
-        let l = SymLaplacian::from_digraph(&g);
+        let l = SymLaplacian::from_digraph(&from_edges(n, &edges).unwrap());
         let run = |threads: usize| {
             let mut rng = StdRng::seed_from_u64(11);
-            lanczos_topk(&l, 6, 20, &mut rng, &AnalysisCtx::with_threads(threads))
+            let t = krylov(&l, 80, &mut rng, &ParPool::new(threads), &ScratchArena::new());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            (t.stats, bits(&t.alpha), bits(&t.beta))
         };
         let reference = run(1);
+        assert!(reference.0.sweeps > 0, "no sweep to compare");
         for threads in [2, 4, 7] {
-            let ev = run(threads);
-            assert!(
-                reference.iter().zip(&ev).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "threads={threads}"
-            );
+            assert_eq!(run(threads), reference, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn only_operators_of_sixteen_row_tasks_fan_out() {
+        let ctx = AnalysisCtx::with_threads(4);
+        assert_eq!(iteration_pool(POOL_MIN_ROWS - 1, &ctx).threads(), 1);
+        assert_eq!(iteration_pool(POOL_MIN_ROWS, &ctx).threads(), 4);
+        assert_eq!(iteration_pool(POOL_MIN_ROWS, &AnalysisCtx::quiet()).threads(), 1);
+    }
+
+    #[test]
+    fn small_tier_basis_stays_semi_orthogonal() {
+        // The eigen section's shape at the quick preset: k 100, 160 steps,
+        // the start vector drawn from the section's seed.
+        let ds = verified_net::Dataset::build(
+            &verified_net::SynthesisConfig::small(),
+            &AnalysisCtx::quiet(),
+        );
+        let l = SymLaplacian::from_digraph(&ds.graph);
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let run = krylov(&l, 160, &mut rng, &ParPool::serial(), &ScratchArena::new());
+        assert_eq!(run.basis.len(), 160);
+        assert!(run.stats.sweeps > 0 && run.stats.sweeps < 160, "sweeps {}", run.stats.sweeps);
+        let mut worst = 0.0f64;
+        for (i, q) in run.basis.iter().enumerate() {
+            for p in &run.basis[..i] {
+                worst = worst.max(dot(q, p).abs());
+            }
+        }
+        assert!(worst <= SQRT_EPS, "max |q_i · q_j| = {worst:e}");
     }
 
     #[test]

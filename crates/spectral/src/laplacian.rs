@@ -3,12 +3,13 @@
 use vnet_graph::{DiGraph, NodeId, Undirected};
 use vnet_par::{ParPool, ParStats};
 
-/// Rows per fork-join task in [`SymLaplacian::matvec_into_pool`]. Fixed per
-/// call site so the shard layout depends on the dimension only; each row is
-/// computed independently, so sharding cannot change any output bit. Small
-/// operators (`n <= ROW_CHUNK`) decompose into a single task, which runs
-/// inline on the caller's thread.
-const ROW_CHUNK: usize = 4096;
+/// Rows per fork-join task in [`SymLaplacian::matvec_into_pool`] and in
+/// the Lanczos reorthogonalization sweeps. Fixed so the shard layout
+/// depends on the dimension only; each row is computed independently, so
+/// sharding cannot change any output bit. Small operators
+/// (`n <= ROW_CHUNK`) decompose into a single task, which runs inline on
+/// the caller's thread.
+pub(crate) const ROW_CHUNK: usize = 4096;
 
 /// Symmetric Laplacian `L = D − A` of the undirected projection of a
 /// directed graph (an undirected edge `{u, v}` exists when either `u → v`

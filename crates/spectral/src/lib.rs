@@ -13,9 +13,12 @@
 //! * [`SymLaplacian`] — the symmetric graph Laplacian `L = D − A` of the
 //!   undirected projection of a follow graph, stored as CSR and exposed as
 //!   a matrix-free operator (only `L·x` is ever formed).
-//! * [`lanczos_topk`] — Lanczos iteration with full reorthogonalization and
-//!   a Sturm-sequence tridiagonal eigensolver; the workhorse for extracting
-//!   the top-k eigenvalues at scale.
+//! * [`lanczos_topk`] — Lanczos iteration with partial reorthogonalization
+//!   (Simon's orthogonality estimate; classical Gram–Schmidt sweeps only
+//!   when it passes √ε; the pool is used from 65,536 rows up) and a
+//!   Sturm-sequence tridiagonal eigensolver
+//!   that bisects only the kept values; the workhorse for extracting the
+//!   top-k eigenvalues at scale.
 //! * [`power_iteration_topk`] — textbook power iteration with deflation,
 //!   the method the paper names; kept as the cross-check / ablation
 //!   baseline (it is O(k) sweeps of O(k·E) work, so only sane for small k).

@@ -5,8 +5,10 @@
 //! huge sparse Laplacian to a small tridiagonal `T`, whose eigenvalues
 //! (Ritz values) approximate the extremal Laplacian spectrum. Bisection on
 //! the Sturm count is slower than QL but is branch-free to reason about,
-//! unconditionally stable, and lets us extract *only* the largest `k`
-//! values — exactly what the power-law fit needs.
+//! unconditionally stable, and extracts *only* the largest `k` values —
+//! exactly what the power-law fit needs. Each index is bisected
+//! independently, so a value does not depend on how many others are
+//! asked for.
 
 /// Number of eigenvalues of the symmetric tridiagonal matrix
 /// (diagonal `a`, off-diagonal `b`, `b.len() == a.len() − 1`) that are
@@ -25,11 +27,12 @@ pub fn sturm_count(a: &[f64], b: &[f64], x: f64) -> usize {
     count
 }
 
-/// All eigenvalues of the symmetric tridiagonal `(a, b)` in ascending
-/// order, each located by bisection to absolute tolerance `tol`.
-pub fn tridiag_eigenvalues(a: &[f64], b: &[f64], tol: f64) -> Vec<f64> {
+/// The `k` largest eigenvalues of the symmetric tridiagonal `(a, b)` in
+/// ascending order (all of them when `k >= a.len()`), each located by
+/// bisection to absolute tolerance `tol`.
+pub fn tridiag_eigenvalues(a: &[f64], b: &[f64], k: usize, tol: f64) -> Vec<f64> {
     let n = a.len();
-    if n == 0 {
+    if n == 0 || k == 0 {
         return Vec::new();
     }
     // Gershgorin bounds.
@@ -42,14 +45,21 @@ pub fn tridiag_eigenvalues(a: &[f64], b: &[f64], tol: f64) -> Vec<f64> {
     }
     lo -= tol;
     hi += tol;
-    (0..n).map(|k| bisect_kth(a, b, k, lo, hi, tol)).collect()
+    (n.saturating_sub(k)..n).map(|i| bisect_kth(a, b, i, lo, hi, tol)).collect()
 }
 
 /// The `k`-th smallest eigenvalue (0-based) via bisection on the Sturm
 /// count within `[lo, hi]`.
+///
+/// Stops at width `tol`, or earlier once `lo` and `hi` are adjacent
+/// floats: past `|x| ≈ 2⁵² · tol` their gap exceeds `tol`, the midpoint
+/// rounds onto an endpoint, and neither bound would move again.
 fn bisect_kth(a: &[f64], b: &[f64], k: usize, mut lo: f64, mut hi: f64, tol: f64) -> f64 {
     while hi - lo > tol {
         let mid = 0.5 * (lo + hi);
+        if mid <= lo || mid >= hi {
+            break;
+        }
         if sturm_count(a, b, mid) > k {
             hi = mid;
         } else {
@@ -67,7 +77,7 @@ mod tests {
     fn diagonal_matrix_eigenvalues_are_diagonal() {
         let a = [3.0, 1.0, 2.0];
         let b = [0.0, 0.0];
-        let ev = tridiag_eigenvalues(&a, &b, 1e-12);
+        let ev = tridiag_eigenvalues(&a, &b, a.len(), 1e-12);
         assert!((ev[0] - 1.0).abs() < 1e-9);
         assert!((ev[1] - 2.0).abs() < 1e-9);
         assert!((ev[2] - 3.0).abs() < 1e-9);
@@ -76,7 +86,7 @@ mod tests {
     #[test]
     fn two_by_two_closed_form() {
         // [[2, 1], [1, 2]] has eigenvalues 1 and 3.
-        let ev = tridiag_eigenvalues(&[2.0, 2.0], &[1.0], 1e-12);
+        let ev = tridiag_eigenvalues(&[2.0, 2.0], &[1.0], 2, 1e-12);
         assert!((ev[0] - 1.0).abs() < 1e-9);
         assert!((ev[1] - 3.0).abs() < 1e-9);
     }
@@ -90,7 +100,7 @@ mod tests {
             .map(|i| if i == 0 || i == n - 1 { 1.0 } else { 2.0 })
             .collect();
         let b = vec![-1.0; n - 1];
-        let ev = tridiag_eigenvalues(&a, &b, 1e-12);
+        let ev = tridiag_eigenvalues(&a, &b, a.len(), 1e-12);
         for (k, &lambda) in ev.iter().enumerate() {
             let expect = 4.0 * (k as f64 * std::f64::consts::PI / (2.0 * n as f64)).sin().powi(2);
             assert!((lambda - expect).abs() < 1e-8, "k={k}: {lambda} vs {expect}");
@@ -113,15 +123,46 @@ mod tests {
     }
 
     #[test]
+    fn top_k_matches_the_tail_of_the_full_solve_bit_for_bit() {
+        let n = 40;
+        let a: Vec<f64> = (0..n).map(|i| ((i * 37) % 11) as f64 - 3.5).collect();
+        let b: Vec<f64> = (0..n - 1).map(|i| ((i * 13) % 7) as f64 * 0.3 - 0.8).collect();
+        let full = tridiag_eigenvalues(&a, &b, n, 1e-10);
+        for k in [1, 7, n] {
+            let top = tridiag_eigenvalues(&a, &b, k, 1e-10);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&top), bits(&full[n - k..]), "k={k}");
+        }
+        assert_eq!(tridiag_eigenvalues(&a, &b, n + 5, 1e-10).len(), n);
+        assert!(tridiag_eigenvalues(&a, &b, 0, 1e-10).is_empty());
+    }
+
+    #[test]
+    fn bisection_stops_when_the_bracket_is_adjacent_floats() {
+        // Near 6e5 neighbouring floats are 1.16e-10 apart, more than the
+        // tolerance, so a width test alone never ends. Run on a thread so
+        // a regression fails the test instead of hanging the suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(tridiag_eigenvalues(&[6e5, 6e5], &[1.0], 2, 1e-10));
+        });
+        let ev = rx
+            .recv_timeout(std::time::Duration::from_secs(2))
+            .expect("bisection returns within 2 s");
+        assert!((ev[0] - (6e5 - 1.0)).abs() < 1e-9, "{}", ev[0]);
+        assert!((ev[1] - (6e5 + 1.0)).abs() < 1e-9, "{}", ev[1]);
+    }
+
+    #[test]
     fn empty_matrix() {
-        assert!(tridiag_eigenvalues(&[], &[], 1e-12).is_empty());
+        assert!(tridiag_eigenvalues(&[], &[], 3, 1e-12).is_empty());
     }
 
     #[test]
     fn eigenvalues_sorted_ascending() {
         let a = [5.0, -1.0, 3.0, 0.5, 2.0];
         let b = [1.5, -0.3, 2.0, 0.7];
-        let ev = tridiag_eigenvalues(&a, &b, 1e-11);
+        let ev = tridiag_eigenvalues(&a, &b, a.len(), 1e-11);
         for w in ev.windows(2) {
             assert!(w[0] <= w[1] + 1e-9);
         }

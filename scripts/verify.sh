@@ -14,11 +14,15 @@
 #                             registry at >= 2 recording threads)
 #   scripts/verify.sh par     parallelism lane: vnet-par unit tests + the
 #                             cross-thread-count determinism battery
-#   scripts/verify.sh algos   projection lane: the vnet-graph, vnet-algos
-#                             and vnet-spectral unit batteries, the bit
-#                             pins of every undirected-projection
-#                             consumer, the brute-force reference
-#                             proptests, and the algos/spectral/core
+#   scripts/verify.sh algos   projection and eigensolver lane: the
+#                             vnet-graph, vnet-algos and vnet-spectral
+#                             unit batteries (Lanczos semi-orthogonality
+#                             included), the bit pins of every
+#                             undirected-projection consumer, the
+#                             brute-force reference proptests (the
+#                             dense-Jacobi Lanczos reference among them),
+#                             the release-profile default-tier eigen
+#                             fidelity test, and the algos/spectral/core
 #                             clippy wall (no unwrap)
 #   scripts/verify.sh powerlaw
 #                             power-law lane: the vnet-stats and
@@ -99,6 +103,9 @@ algos)
     cargo test -q -p vnet-graph -p vnet-algos -p vnet-spectral
     cargo test -q -p vnet-integration-tests --test projection_pin
     cargo test -q -p vnet-integration-tests --test algorithm_references
+    # Release profile: the default-tier eigen fit against the references
+    # recorded with full reorthogonalization is too slow for debug.
+    cargo test -q -p vnet-integration-tests --release --test eigen_fidelity -- --include-ignored
     # Clustering, k-core and the Laplacian run on serve worker threads on
     # every analyze miss; they hold the same no-unwrap wall as the serve
     # crate.

@@ -17,6 +17,113 @@ use vnet_graph::builder::from_edges;
 use vnet_graph::{common_count, for_each_common, induced_subgraph, DiGraph, NodeId, Undirected};
 use vnet_spectral::{lanczos_topk, SymLaplacian};
 
+/// Edge densities of the dense-reference Lanczos graphs: from mostly
+/// isolated nodes (many zero eigenvalues, Krylov restarts) to near-complete
+/// (one eigenvalue of high multiplicity).
+const DENSITIES: [f64; 4] = [0.03, 0.1, 0.3, 0.8];
+
+/// Random digraph with each ordered pair `u ≠ v` an edge with
+/// probability `density`.
+fn random_digraph(n: u32, density: f64, seed: u64) -> DiGraph {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut edges = Vec::new();
+    for u in 0..n {
+        for v in 0..n {
+            if u != v && rng.random::<f64>() < density {
+                edges.push((u, v));
+            }
+        }
+    }
+    from_edges(n, &edges).unwrap()
+}
+
+/// Dense `L = D − A` of the undirected projection, built from the edge
+/// list (not from `Undirected`).
+fn dense_laplacian(g: &DiGraph) -> Vec<f64> {
+    let n = g.node_count();
+    let mut a = vec![0.0f64; n * n];
+    for (u, v) in g.edges() {
+        let (u, v) = (u as usize, v as usize);
+        a[u * n + v] = 1.0;
+        a[v * n + u] = 1.0;
+    }
+    let mut l = vec![0.0f64; n * n];
+    for u in 0..n {
+        let degree: f64 = a[u * n..(u + 1) * n].iter().sum();
+        for v in 0..n {
+            l[u * n + v] = if u == v { degree } else { -a[u * n + v] };
+        }
+    }
+    l
+}
+
+/// All eigenvalues of the dense symmetric row-major `a` (`n × n`) by
+/// cyclic Jacobi rotations, in descending order.
+fn jacobi_eigenvalues(mut a: Vec<f64>, n: usize) -> Vec<f64> {
+    let total: f64 = a.iter().map(|x| x * x).sum();
+    for _ in 0..60 {
+        let off: f64 = (0..n)
+            .flat_map(|p| (0..n).filter(move |&q| q != p).map(move |q| (p, q)))
+            .map(|(p, q)| a[p * n + q] * a[p * n + q])
+            .sum();
+        if off <= 1e-30 * total {
+            break;
+        }
+        for p in 0..n {
+            for q in p + 1..n {
+                let apq = a[p * n + q];
+                if apq == 0.0 {
+                    continue;
+                }
+                let theta = (a[q * n + q] - a[p * n + p]) / (2.0 * apq);
+                let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
+                let c = 1.0 / (t * t + 1.0).sqrt();
+                let s = t * c;
+                for k in 0..n {
+                    let (akp, akq) = (a[k * n + p], a[k * n + q]);
+                    a[k * n + p] = c * akp - s * akq;
+                    a[k * n + q] = s * akp + c * akq;
+                }
+                for k in 0..n {
+                    let (apk, aqk) = (a[p * n + k], a[q * n + k]);
+                    a[p * n + k] = c * apk - s * aqk;
+                    a[q * n + k] = s * apk + c * aqk;
+                }
+            }
+        }
+    }
+    let mut ev: Vec<f64> = (0..n).map(|i| a[i * n + i]).collect();
+    ev.sort_by(|x, y| y.total_cmp(x));
+    ev
+}
+
+/// The whole spectrum by Lanczos (`k = steps = n`) at 1 and 3 threads
+/// against the dense Jacobi solve: bit-identical across thread counts,
+/// and every value within `1e-9 · max(1, λ_max)`.
+fn check_lanczos_against_dense(g: &DiGraph) -> Result<(), TestCaseError> {
+    use rand::SeedableRng;
+    let n = g.node_count();
+    let lap = SymLaplacian::from_digraph(g);
+    let reference = jacobi_eigenvalues(dense_laplacian(g), n);
+    let solve = |threads: usize| {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        lanczos_topk(&lap, n, n, &mut rng, &vnet_ctx::AnalysisCtx::with_threads(threads))
+    };
+    let serial = solve(1);
+    let pooled = solve(3);
+    prop_assert!(
+        serial.iter().zip(&pooled).all(|(a, b)| a.to_bits() == b.to_bits()),
+        "thread counts disagree"
+    );
+    prop_assert_eq!(serial.len(), n);
+    let tol = 1e-9 * reference[0].max(1.0);
+    for (i, (got, want)) in serial.iter().zip(&reference).enumerate() {
+        prop_assert!((got - want).abs() <= tol, "rank {}: lanczos {} vs dense {}", i, got, want);
+    }
+    Ok(())
+}
+
 /// Random edge list over `n` nodes from a proptest-provided pair vector.
 fn graph_from(n: u32, raw: &[(u32, u32)]) -> DiGraph {
     let edges: Vec<(u32, u32)> = raw.iter().map(|&(u, v)| (u % n, v % n)).collect();
@@ -337,5 +444,31 @@ proptest! {
         let s2: f64 = eig.iter().map(|&l| l * l).sum();
         prop_assert!((s1 - trace).abs() < 1e-6 * trace.max(1.0), "Σλ {} vs Σd {}", s1, trace);
         prop_assert!((s2 - trace2).abs() < 1e-5 * trace2.max(1.0), "Σλ² {} vs {}", s2, trace2);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn lanczos_full_spectrum_matches_dense_jacobi(
+        n in 8u32..61,
+        density in 0usize..DENSITIES.len(),
+        seed in 0u64..u64::MAX,
+    ) {
+        check_lanczos_against_dense(&random_digraph(n, DENSITIES[density], seed))?;
+    }
+}
+
+/// Dense graphs whose top eigenvalue has high multiplicity, solved to
+/// `steps = n`: the Krylov space keeps nearly closing, and ghost Ritz
+/// values get through if the orthogonality estimate's local term does not
+/// scale with 1/β, if the step after a triggered sweep is not swept, or if
+/// a residual at rounding level gets only one Gram–Schmidt pass.
+#[test]
+fn lanczos_dense_38_node_graphs_match_dense_jacobi() {
+    for seed in 0..64 {
+        check_lanczos_against_dense(&random_digraph(38, 0.8, seed))
+            .unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
     }
 }

@@ -142,6 +142,7 @@ fn analysis_driver_records_one_span_per_stage() {
         "algo.pagerank.edge_relaxations",
         "algo.betweenness.sources",
         "algo.lanczos.matvecs",
+        "algo.lanczos.sweeps",
     ] {
         assert!(
             manifest.counters.get(key).copied().unwrap_or(0) > 0,

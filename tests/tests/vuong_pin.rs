@@ -22,8 +22,8 @@ const DEGREES: [Pin; 3] = [
 ];
 
 const EIGEN: [Pin; 2] = [
-    ("log-normal", 0x3fb7_4f74_847b_3d00, 0x3fb7_b350_d0d3_1de8, 0x3fed_a3bc_72ed_38b6),
-    ("exponential", 0x4021_2ee1_3cd4_d7fc, 0x3ff4_4d53_8a9f_3c49, 0x3fca_2c8b_7d1b_1f44),
+    ("log-normal", 0x3fb7_4f74_847a_5140, 0x3fb7_b350_d0d2_30bb, 0x3fed_a3bc_72ed_5044),
+    ("exponential", 0x4021_2ee1_3cd4_d301, 0x3ff4_4d53_8a9f_3717, 0x3fca_2c8b_7d1b_2e14),
 ];
 
 fn check(section: &str, rows: &[verified_net::degrees::VuongRow], pins: &[Pin]) {
