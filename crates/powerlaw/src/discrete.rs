@@ -57,12 +57,21 @@ impl DiscreteFit {
 
 /// Fit α for a *fixed* `xmin` by golden-section maximization of the
 /// log-likelihood. `tail` must contain only values `>= xmin` and be
-/// non-empty.
+/// non-empty; it need not be sorted.
 pub fn fit_alpha_discrete(tail: &[u64], xmin: u64) -> DiscreteFit {
     debug_assert!(!tail.is_empty());
     debug_assert!(tail.iter().all(|&x| x >= xmin));
-    let n = tail.len() as f64;
     let sum_ln: f64 = tail.iter().map(|&x| (x as f64).ln()).sum();
+    let mut sorted = tail.to_vec();
+    sorted.sort_unstable();
+    fit_sorted_tail(&sorted, sum_ln, xmin, f64::INFINITY)
+}
+
+/// [`fit_alpha_discrete`] over an ascending tail whose logarithms sum to
+/// `sum_ln`. The fit's `ks` is exact when it is below `bound`; see
+/// [`ks_distance`].
+fn fit_sorted_tail(sorted: &[u64], sum_ln: f64, xmin: u64, bound: f64) -> DiscreteFit {
+    let n = sorted.len() as f64;
     let ll = |alpha: f64| -> f64 {
         -n * hurwitz_zeta(alpha, xmin as f64).ln() - alpha * sum_ln
     };
@@ -88,17 +97,30 @@ pub fn fit_alpha_discrete(tail: &[u64], xmin: u64) -> DiscreteFit {
         }
     }
     let alpha = 0.5 * (a + b);
-    let ks = ks_distance(tail, alpha, xmin);
-    DiscreteFit { alpha, xmin, ks, n_tail: tail.len(), log_likelihood: ll(alpha) }
+    let z_xmin = hurwitz_zeta(alpha, xmin as f64);
+    let ks = ks_distance(sorted, alpha, xmin, z_xmin, bound);
+    DiscreteFit {
+        alpha,
+        xmin,
+        ks,
+        n_tail: sorted.len(),
+        log_likelihood: -n * z_xmin.ln() - alpha * sum_ln,
+    }
 }
 
-/// KS distance between the empirical tail CDF and the fitted model.
-fn ks_distance(tail: &[u64], alpha: f64, xmin: u64) -> f64 {
-    let mut sorted = tail.to_vec();
-    sorted.sort_unstable();
+/// KS distance between the empirical CDF of `sorted` (ascending, every
+/// value `>= xmin`) and the fitted model, whose normaliser `z_xmin` is
+/// `ζ(α, xmin)`.
+///
+/// The scan stops as soon as the running maximum reaches `bound`: a result
+/// below `bound` is the distance, a result at or above it only says the
+/// distance is no smaller. Pass `f64::INFINITY` for the full scan.
+fn ks_distance(sorted: &[u64], alpha: f64, xmin: u64, z_xmin: f64, bound: f64) -> f64 {
     let n = sorted.len() as f64;
-    let z_xmin = hurwitz_zeta(alpha, xmin as f64);
     let mut max_d: f64 = 0.0;
+    // ζ(α, ·) at the argument it was last taken for: a value k followed
+    // by k+1 reuses ζ(α, k+1) as the next value's ζ(α, k).
+    let mut known = (xmin, z_xmin);
     let mut i = 0;
     while i < sorted.len() {
         let k = sorted[i];
@@ -110,16 +132,26 @@ fn ks_distance(tail: &[u64], alpha: f64, xmin: u64) -> f64 {
         let ecdf_lo = i as f64 / n;
         let ecdf_hi = j as f64 / n;
         // Model CDF at k: 1 − ζ(α, k+1)/ζ(α, xmin).
-        let model = 1.0 - hurwitz_zeta(alpha, (k + 1) as f64) / z_xmin;
-        let model_lo = 1.0 - hurwitz_zeta(alpha, k as f64) / z_xmin;
+        let z_next = hurwitz_zeta(alpha, (k + 1) as f64);
+        let z_k = if known.0 == k { known.1 } else { hurwitz_zeta(alpha, k as f64) };
+        let model = 1.0 - z_next / z_xmin;
+        let model_lo = 1.0 - z_k / z_xmin;
         max_d = max_d.max((model - ecdf_hi).abs()).max((model_lo - ecdf_lo).abs());
+        if max_d >= bound {
+            return max_d;
+        }
+        known = (k + 1, z_next);
         i = j;
     }
     max_d
 }
 
 /// Full CSN fit: scan candidate `xmin` values, fit α at each, keep the
-/// candidate minimizing the KS distance.
+/// candidate minimizing the KS distance (the first one, on ties).
+///
+/// A candidate's KS scan stops once its running maximum reaches the best
+/// distance so far, since it can no longer be kept. The chosen fit is the
+/// one a full scan of every candidate picks, bit for bit.
 ///
 /// # Examples
 /// ```
@@ -149,6 +181,9 @@ pub fn fit_discrete(data: &[u64], opts: &FitOptions) -> Result<DiscreteFit> {
         XminStrategy::Quantiles(q) => quantile_candidates(&distinct, q),
     };
 
+    // Each point's logarithm, taken once: every tail sums a suffix of it,
+    // front to back, as `fit_alpha_discrete` sums its tail.
+    let ln_positive: Vec<f64> = positive.iter().map(|&x| (x as f64).ln()).collect();
     let mut best: Option<DiscreteFit> = None;
     for &xmin in &candidates {
         // Tail = observations >= xmin (positive is sorted).
@@ -157,8 +192,11 @@ pub fn fit_discrete(data: &[u64], opts: &FitOptions) -> Result<DiscreteFit> {
         if tail.len() < opts.min_tail {
             break; // candidates ascend; later tails only shrink
         }
-        let fit = fit_alpha_discrete(tail, xmin);
-        if best.as_ref().is_none_or(|b| fit.ks < b.ks) {
+        // A candidate is kept only on a strictly smaller KS distance, so
+        // its scan can stop once it reaches the best distance so far.
+        let bound = best.as_ref().map_or(f64::INFINITY, |b| b.ks);
+        let fit = fit_sorted_tail(tail, ln_positive[start..].iter().sum(), xmin, bound);
+        if fit.ks < bound {
             best = Some(fit);
         }
     }
@@ -183,6 +221,7 @@ pub(crate) fn quantile_candidates(distinct: &[u64], q: usize) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use vnet_stats::sampling::DiscretePowerLaw;
@@ -282,6 +321,146 @@ mod tests {
         let tail: Vec<u64> = data.into_iter().filter(|&x| x >= 4).collect();
         let fit = fit_alpha_discrete(&tail, 4);
         assert!(fit.ks < 0.01, "ks={}", fit.ks);
+    }
+
+    /// The scan as it stood before the bounded KS scan: every candidate is
+    /// fitted and scanned in full over a sorted copy of its tail, and every
+    /// ζ is taken afresh. `fit_discrete` must return its bits.
+    fn reference_fit_discrete(data: &[u64], opts: &FitOptions) -> Result<DiscreteFit> {
+        fn ks(tail: &[u64], alpha: f64, xmin: u64) -> f64 {
+            let mut sorted = tail.to_vec();
+            sorted.sort_unstable();
+            let n = sorted.len() as f64;
+            let z_xmin = hurwitz_zeta(alpha, xmin as f64);
+            let mut max_d: f64 = 0.0;
+            let mut i = 0;
+            while i < sorted.len() {
+                let k = sorted[i];
+                let mut j = i;
+                while j < sorted.len() && sorted[j] == k {
+                    j += 1;
+                }
+                let ecdf_lo = i as f64 / n;
+                let ecdf_hi = j as f64 / n;
+                let model = 1.0 - hurwitz_zeta(alpha, (k + 1) as f64) / z_xmin;
+                let model_lo = 1.0 - hurwitz_zeta(alpha, k as f64) / z_xmin;
+                max_d = max_d.max((model - ecdf_hi).abs()).max((model_lo - ecdf_lo).abs());
+                i = j;
+            }
+            max_d
+        }
+        fn fit_alpha(tail: &[u64], xmin: u64) -> DiscreteFit {
+            let n = tail.len() as f64;
+            let sum_ln: f64 = tail.iter().map(|&x| (x as f64).ln()).sum();
+            let ll = |alpha: f64| -> f64 {
+                -n * hurwitz_zeta(alpha, xmin as f64).ln() - alpha * sum_ln
+            };
+            let (mut a, mut b) = (1.000_001f64, 12.0f64);
+            let phi = (5.0f64.sqrt() - 1.0) / 2.0;
+            let (mut c, mut d) = (b - phi * (b - a), a + phi * (b - a));
+            let (mut fc, mut fd) = (ll(c), ll(d));
+            for _ in 0..100 {
+                if fc > fd {
+                    b = d;
+                    d = c;
+                    fd = fc;
+                    c = b - phi * (b - a);
+                    fc = ll(c);
+                } else {
+                    a = c;
+                    c = d;
+                    fc = fd;
+                    d = a + phi * (b - a);
+                    fd = ll(d);
+                }
+            }
+            let alpha = 0.5 * (a + b);
+            let ks = ks(tail, alpha, xmin);
+            DiscreteFit { alpha, xmin, ks, n_tail: tail.len(), log_likelihood: ll(alpha) }
+        }
+        let mut positive: Vec<u64> = data.iter().copied().filter(|&x| x > 0).collect();
+        if positive.len() < opts.min_tail.max(2) {
+            return Err(PowerLawError::TooFewObservations {
+                needed: opts.min_tail.max(2),
+                got: positive.len(),
+            });
+        }
+        positive.sort_unstable();
+        let mut distinct: Vec<u64> = positive.clone();
+        distinct.dedup();
+        let candidates: Vec<u64> = match opts.xmin {
+            XminStrategy::Exhaustive => distinct,
+            XminStrategy::Quantiles(q) => quantile_candidates(&distinct, q),
+        };
+        let mut best: Option<DiscreteFit> = None;
+        for &xmin in &candidates {
+            let start = positive.partition_point(|&x| x < xmin);
+            let tail = &positive[start..];
+            if tail.len() < opts.min_tail {
+                break;
+            }
+            let fit = fit_alpha(tail, xmin);
+            if best.as_ref().is_none_or(|b| fit.ks < b.ks) {
+                best = Some(fit);
+            }
+        }
+        best.ok_or(PowerLawError::TooFewObservations { needed: opts.min_tail, got: 0 })
+    }
+
+    fn assert_same_bits(got: &DiscreteFit, want: &DiscreteFit) {
+        assert_eq!(got.alpha.to_bits(), want.alpha.to_bits(), "alpha: {got:?} vs {want:?}");
+        assert_eq!(got.xmin, want.xmin, "xmin: {got:?} vs {want:?}");
+        assert_eq!(got.ks.to_bits(), want.ks.to_bits(), "ks: {got:?} vs {want:?}");
+        assert_eq!(got.n_tail, want.n_tail, "n_tail: {got:?} vs {want:?}");
+        assert_eq!(
+            got.log_likelihood.to_bits(),
+            want.log_likelihood.to_bits(),
+            "log_likelihood: {got:?} vs {want:?}"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Power-law draws over a uniform head, with values optionally
+        /// coarsened to multiples of `step` (so consecutive values are
+        /// often not k, k+1) and heavily repeated (so every ECDF step
+        /// spans many points): the bounded scan picks the same fit, bit
+        /// for bit, under either strategy and any `min_tail`.
+        #[test]
+        fn bounded_scan_matches_the_full_scan_bit_for_bit(
+            seed in 0u64..u64::MAX,
+            alpha in 1.6f64..3.6,
+            n in 20usize..1500,
+            head in 0usize..300,
+            step in 1u64..4,
+            quantiles in 0usize..40,
+            min_tail in 2usize..60,
+        ) {
+            use rand::Rng;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut data = DiscretePowerLaw::new(alpha, 1 + seed % 12).sample_n(&mut rng, n);
+            for _ in 0..head {
+                data.push(rng.random_range(0..15u64));
+            }
+            for x in &mut data {
+                *x = x.div_ceil(step) * step;
+            }
+            let opts = FitOptions {
+                // Half the cases scan every distinct value.
+                xmin: if quantiles < 20 {
+                    XminStrategy::Exhaustive
+                } else {
+                    XminStrategy::Quantiles(quantiles - 19)
+                },
+                min_tail,
+            };
+            match (fit_discrete(&data, &opts), reference_fit_discrete(&data, &opts)) {
+                (Ok(got), Ok(want)) => assert_same_bits(&got, &want),
+                (Err(got), Err(want)) => prop_assert_eq!(got, want),
+                (got, want) => prop_assert!(false, "{got:?} vs {want:?}"),
+            }
+        }
     }
 
     #[test]

@@ -114,11 +114,18 @@ impl ConnRegistry {
 /// The per-connection protocol loop: frame lines, dispatch, reply.
 ///
 /// The `framing` and `write` stage histograms are recorded here, *after*
-/// the reply is flushed — so a `metrics` reply never contains samples
+/// the reply is written — so a `metrics` reply never contains samples
 /// from its own request, which is what keeps the prom-exposition golden
 /// test deterministic on a fresh connection.
+///
+/// The socket runs with `TCP_NODELAY`: with Nagle on, a reply written
+/// while the previous one is still unacknowledged (a pipelining client)
+/// waits for the peer's delayed ACK, ~40 ms on Linux, and no server stage
+/// sees that wait. The price is one segment per reply where Nagle would
+/// merge back-to-back replies, which lowers the rate a saturating
+/// pipelined client reaches (see docs/API.md).
 fn run_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    if stream.set_read_timeout(Some(READ_TICK)).is_err() {
+    if stream.set_read_timeout(Some(READ_TICK)).is_err() || stream.set_nodelay(true).is_err() {
         return;
     }
     let mut writer = match stream.try_clone() {
@@ -136,7 +143,7 @@ fn run_connection(stream: TcpStream, shared: &Arc<Shared>) {
                 let reply = match handle_line(shared, &line) {
                     Dispatch::Reply(reply) => reply,
                     Dispatch::ReplyThenStop(reply) => {
-                        let _ = write_reply(&mut writer, &reply);
+                        let _ = write_reply(&mut writer, reply);
                         return;
                     }
                     Dispatch::Watch(params) => {
@@ -147,7 +154,7 @@ fn run_connection(stream: TcpStream, shared: &Arc<Shared>) {
                     }
                 };
                 let write_started = Instant::now();
-                if write_reply(&mut writer, &reply).is_err() {
+                if write_reply(&mut writer, reply).is_err() {
                     return;
                 }
                 let stats = &shared.stats;
@@ -168,10 +175,12 @@ fn run_connection(stream: TcpStream, shared: &Arc<Shared>) {
     }
 }
 
-fn write_reply(writer: &mut TcpStream, reply: &str) -> std::io::Result<()> {
-    writer.write_all(reply.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
+/// Write one frame — `reply` and its `'\n'` — in a single `write_all`, so
+/// it leaves as one segment. On a `TCP_NODELAY` socket a newline written
+/// on its own would be a second segment for every reply.
+fn write_reply(writer: &mut impl Write, mut reply: String) -> std::io::Result<()> {
+    reply.push('\n');
+    writer.write_all(reply.as_bytes())
 }
 
 /// A watch session: stream `frames` metric-delta frames, one per
@@ -191,7 +200,7 @@ fn run_watch(writer: &mut TcpStream, shared: &Arc<Shared>, params: &WatchParams)
         params.interval.as_millis(),
         params.frames,
     );
-    if write_reply(writer, &ack).is_err() {
+    if write_reply(writer, ack).is_err() {
         return false;
     }
     let started = Instant::now();
@@ -236,10 +245,37 @@ fn run_watch(writer: &mut TcpStream, shared: &Arc<Shared>, params: &WatchParams)
             counter_deltas.join(","),
             gauge_changes.join(","),
         );
-        if write_reply(writer, &frame).is_err() {
+        if write_reply(writer, frame).is_err() {
             return false;
         }
     }
     let done = format!("{{\"ok\":true,\"watch_complete\":{sent}}}");
-    write_reply(writer, &done).is_ok()
+    write_reply(writer, done).is_ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A sink that keeps the bytes of each `write` call apart.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_reply_and_its_newline_are_one_write() {
+        let mut sink = Writes::default();
+        write_reply(&mut sink, r#"{"ok":true}"#.to_string()).expect("write to a recording sink");
+        assert_eq!(sink.0, vec![b"{\"ok\":true}\n".to_vec()]);
+    }
 }

@@ -333,8 +333,10 @@ fn worker_loop(inner: &ExecInner) {
                     .to_string()
             }
         };
-        complete(&job.handle, reply);
+        // Recorded before the reply is handed over, so a client that has
+        // its reply and then scrapes metrics finds this request's sample.
         t.telemetry.observe(&t.stage_execute, started.elapsed().as_micros() as u64);
+        complete(&job.handle, reply);
         let mut state = inner.state.lock().expect("executor state lock");
         state.running -= 1;
         inner.set_depth_gauge(&state);

@@ -33,9 +33,9 @@ fn main() {
     let mut writer = stream;
     let mut req = |line: &str| -> String {
         println!(">> {line}");
-        writer.write_all(line.as_bytes()).unwrap();
-        writer.write_all(b"\n").unwrap();
-        writer.flush().unwrap();
+        // One write per request line: a newline written on its own would
+        // wait for the server's delayed ACK of the line before it.
+        writer.write_all(format!("{line}\n").as_bytes()).unwrap();
         let mut reply = String::new();
         reader.read_line(&mut reply).unwrap();
         let reply = reply.trim_end().to_string();

@@ -31,10 +31,10 @@
 #                             clippy wall (no unwrap)
 #   scripts/verify.sh serve   service lane: vnet-serve and wire-parser
 #                             unit tests + the loopback wire-protocol,
-#                             hostile-input, concurrency, admission and
-#                             shard-isolation batteries (the shard battery
-#                             in both build profiles), with the
-#                             serve-scoped clippy wall
+#                             hostile-input, wire-latency, concurrency,
+#                             admission and shard-isolation batteries (the
+#                             shard battery in both build profiles), with
+#                             the serve-scoped clippy wall
 #   scripts/verify.sh graph-scale
 #                             scaling lane: the StreamingBuilder unit +
 #                             proptest battery, the peak-budget and
@@ -73,7 +73,8 @@
 #                             support, see the migration table in
 #                             docs/API.md; no second CSR freeze, PageRank
 #                             loop, rate window, undirected merge or
-#                             sorted intersection)
+#                             sorted intersection; no newline written on
+#                             its own after a wire line)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -125,6 +126,9 @@ serve)
     cargo test -q -p vnet-integration-tests --test serve_protocol
     # A test binary of its own: at a stack overflow it aborts alone.
     cargo test -q -p vnet-integration-tests --test serve_hostile_input
+    # Client-timed round trips: a reply that waits for a delayed ACK shows
+    # only on the client's clock.
+    cargo test -q -p vnet-integration-tests --test serve_wire_latency
     cargo test -q -p vnet-integration-tests --test serve_concurrency
     cargo test -q -p vnet-integration-tests --test serve_admission
     cargo test -q -p vnet-integration-tests --test serve_shards
@@ -222,6 +226,13 @@ full)
         crates/ tests/ examples/; then
         echo "error: a private undirected merge or sorted intersection reappeared" >&2
         echo "       (use vnet_graph::{Undirected, union_sorted, for_each_common, common_count})" >&2
+        exit 1
+    fi
+    # A wire line and its newline leave in one write: a newline written on
+    # its own waits under Nagle for the peer's delayed ACK (~40 ms).
+    if grep -rn --include='*.rs' -F 'write_all(b"\n")' crates/ tests/ examples/; then
+        echo "error: a newline written on its own after a wire line" >&2
+        echo "       (append '\\n' to the line and write both at once; see docs/API.md)" >&2
         exit 1
     fi
     ;;

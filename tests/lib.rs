@@ -6,6 +6,12 @@
 //! times. The strategies live here so the two batteries exercise the same
 //! input distribution — a divergence caught by one is reproducible in the
 //! other.
+//!
+//! The loopback serve batteries share [`LineClient`], so every one of them
+//! frames its requests the same way.
+
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 
 use proptest::Strategy;
 use vnet_twittersim::{
@@ -43,4 +49,52 @@ pub fn healing_fault_plan() -> impl Strategy<Value = FaultPlan> {
 pub fn fault_free_crawl(society: &Society) -> CrawlDataset {
     let api = TwitterApi::new(society, SimClock::new(), RateLimitPolicy::unlimited(), 0.0);
     Crawler::new(&api).crawl().expect("fault-free crawl cannot fail")
+}
+
+/// A client of the serve wire protocol: one loopback connection, request
+/// lines out, reply lines back.
+///
+/// Each request leaves in one write, the line and its `'\n'` together.
+/// Written apart, the newline would wait under Nagle's algorithm for the
+/// server's delayed ACK of the line, ~40 ms a request on Linux. So the
+/// client needs no `TCP_NODELAY`, and it sets none.
+pub struct LineClient {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+impl LineClient {
+    /// Connect to the server listening on `addr`.
+    pub fn connect(addr: SocketAddr) -> LineClient {
+        let stream = TcpStream::connect(addr).expect("connect to loopback server");
+        LineClient {
+            reader: BufReader::new(stream.try_clone().expect("clone stream")),
+            writer: stream,
+        }
+    }
+
+    /// Send one request line in a single write.
+    pub fn send(&mut self, line: &str) {
+        self.writer.write_all(format!("{line}\n").as_bytes()).expect("send request");
+    }
+
+    /// Read one reply line; returns it without its terminator.
+    pub fn recv(&mut self) -> String {
+        let mut reply = String::new();
+        self.reader.read_line(&mut reply).expect("read reply");
+        assert!(reply.ends_with('\n'), "reply not line-terminated: {reply:?}");
+        reply.trim_end().to_string()
+    }
+
+    /// One round trip: [`send`](Self::send) `line`, then [`recv`](Self::recv).
+    pub fn req(&mut self, line: &str) -> String {
+        self.send(line);
+        self.recv()
+    }
+
+    /// The socket itself, for tests that shape their own writes or set
+    /// socket options. The reader shares it.
+    pub fn stream(&mut self) -> &mut TcpStream {
+        &mut self.writer
+    }
 }

@@ -14,13 +14,12 @@
 //! synthetic queue-depth regime shift through the self-monitor's
 //! injection hook to prove the PELT detector flags it in `status`.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use verified_net::{AnalysisCtx, Dataset, SynthesisConfig};
+use vnet_integration_tests::LineClient;
 use vnet_obs::{pow2_buckets, render_prometheus, Obs, Registry, Telemetry};
 use vnet_serve::{AdmissionPolicy, MonitorSample, SelfMonitorConfig, Server, ServerConfig};
 
@@ -125,38 +124,6 @@ fn dataset() -> Dataset {
     Dataset::build(&SynthesisConfig::small(), &AnalysisCtx::quiet())
 }
 
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to loopback server");
-        Client {
-            reader: BufReader::new(stream.try_clone().expect("clone stream")),
-            writer: stream,
-        }
-    }
-
-    fn send(&mut self, line: &str) {
-        self.writer.write_all(line.as_bytes()).expect("send request");
-        self.writer.write_all(b"\n").expect("send newline");
-        self.writer.flush().expect("flush");
-    }
-
-    fn recv(&mut self) -> String {
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply).expect("read reply");
-        reply.trim_end().to_string()
-    }
-
-    fn req(&mut self, line: &str) -> String {
-        self.send(line);
-        self.recv()
-    }
-}
-
 /// Block until `serve.conn_active` reaches `want` — the gauge is set by
 /// the acceptor just after the connection thread spawns, so a test that
 /// wants a byte-deterministic exposition waits for it before sending.
@@ -179,7 +146,7 @@ fn prometheus_exposition_is_golden_for_a_quiescent_server() {
     .expect("bind loopback server");
     handle.register_dataset("snap", dataset());
     let obs = handle.obs_handle();
-    let mut c = Client::connect(handle.local_addr());
+    let mut c = LineClient::connect(handle.local_addr());
     wait_for_conn_active(&obs, 1.0);
 
     // The very first request on the only connection: the `framing` and
@@ -244,7 +211,7 @@ fn watch_streams_at_least_three_delta_frames() {
     handle.register_dataset("snap", dataset());
     let addr = handle.local_addr();
 
-    let mut watcher = Client::connect(addr);
+    let mut watcher = LineClient::connect(addr);
     watcher.send(r#"{"v":1,"cmd":"watch","interval_ms":60,"frames":3}"#);
     let ack = watcher.recv();
     let v: serde_json::Value = serde_json::from_str(&ack).expect("watch ack parses");
@@ -254,7 +221,7 @@ fn watch_streams_at_least_three_delta_frames() {
     // Traffic on a second connection while the watch streams: the delta
     // frames must pick the counter movement up.
     let driver = std::thread::spawn(move || {
-        let mut c = Client::connect(addr);
+        let mut c = LineClient::connect(addr);
         for _ in 0..4 {
             let reply = c.req(r#"{"v":1,"cmd":"analyze","snapshot":"snap","sections":["basic"]}"#);
             assert!(reply.starts_with("{\"ok\":true"), "driver analyze failed: {reply}");
@@ -288,7 +255,7 @@ fn watch_streams_at_least_three_delta_frames() {
 #[test]
 fn watch_rejects_unknown_snapshots_and_bad_bounds() {
     let handle = Server::start(ServerConfig::default()).expect("bind loopback server");
-    let mut c = Client::connect(handle.local_addr());
+    let mut c = LineClient::connect(handle.local_addr());
     let reply = c.req(r#"{"v":1,"cmd":"watch","snapshot":"ghost","frames":1}"#);
     let v: serde_json::Value = serde_json::from_str(&reply).expect("reply parses");
     assert_eq!(v["error"]["code"].as_str(), Some("unknown_snapshot"), "{reply}");
@@ -326,7 +293,7 @@ fn self_monitor_flags_an_injected_queue_regime_shift() {
         assert!(handle.inject_monitor_sample(backed_up));
     }
 
-    let mut c = Client::connect(handle.local_addr());
+    let mut c = LineClient::connect(handle.local_addr());
     let status = c.req(r#"{"v":1,"cmd":"status"}"#);
     let v: serde_json::Value = serde_json::from_str(&status).expect("status parses");
     assert_eq!(v["self_monitor"]["samples"].as_u64(), Some(60), "status: {status}");
@@ -346,7 +313,7 @@ fn self_monitor_flags_an_injected_queue_regime_shift() {
 #[test]
 fn status_without_monitor_carries_no_self_monitor_field() {
     let handle = Server::start(ServerConfig::default()).expect("bind loopback server");
-    let mut c = Client::connect(handle.local_addr());
+    let mut c = LineClient::connect(handle.local_addr());
     let status = c.req(r#"{"v":1,"cmd":"status"}"#);
     assert!(!status.contains("self_monitor"), "monitor-off status leaked the field: {status}");
     assert!(!handle.inject_monitor_sample(MonitorSample {

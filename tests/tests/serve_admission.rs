@@ -9,12 +9,11 @@
 //! `retry_after_ms` made deterministic by the server's manual admission
 //! clock.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use verified_net::{AnalysisCtx, Dataset, SynthesisConfig};
+use vnet_integration_tests::LineClient;
 use vnet_serve::{AdmissionClock, AdmissionPolicy, Server, ServerConfig};
 use vnet_twittersim::RateWindow;
 
@@ -50,30 +49,6 @@ proptest! {
     }
 }
 
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to loopback server");
-        Client {
-            reader: BufReader::new(stream.try_clone().expect("clone stream")),
-            writer: stream,
-        }
-    }
-
-    fn req(&mut self, line: &str) -> String {
-        self.writer.write_all(line.as_bytes()).expect("send request");
-        self.writer.write_all(b"\n").expect("send newline");
-        self.writer.flush().expect("flush");
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply).expect("read reply");
-        reply.trim_end().to_string()
-    }
-}
-
 /// Run the golden request sequence against a freshly started server with
 /// a manual admission clock: admit one, reject at t=0, reject at t=300,
 /// admit at the window boundary. Returns the two rejection frames.
@@ -86,7 +61,7 @@ fn golden_sequence() -> (String, String) {
     })
     .expect("bind loopback server");
     handle.register_dataset("snap", dataset().clone());
-    let mut c = Client::connect(handle.local_addr());
+    let mut c = LineClient::connect(handle.local_addr());
     let analyze = r#"{"v":1,"cmd":"analyze","snapshot":"snap","sections":["basic"],"client":"tenant-1"}"#;
 
     let first = c.req(analyze);
@@ -145,7 +120,7 @@ fn admission_metrics_account_for_every_analyze() {
     })
     .expect("bind loopback server");
     handle.register_dataset("snap", dataset().clone());
-    let mut c = Client::connect(handle.local_addr());
+    let mut c = LineClient::connect(handle.local_addr());
     let analyze = r#"{"v":1,"cmd":"analyze","snapshot":"snap","sections":["basic"],"client":"t"}"#;
     for _ in 0..5 {
         c.req(analyze);

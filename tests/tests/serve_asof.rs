@@ -6,38 +6,15 @@
 //! canonicalized-cache-key regression (key order, whitespace, and
 //! explicitly spelled defaults never cause a spurious miss).
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::sync::OnceLock;
 use verified_net::{AnalysisCtx, Dataset, SynthesisConfig};
+use vnet_integration_tests::LineClient;
 use vnet_serve::{Server, ServerConfig};
 use vnet_synth::{ChurnConfig, ChurnStream};
 
 fn dataset() -> &'static Dataset {
     static DS: OnceLock<Dataset> = OnceLock::new();
     DS.get_or_init(|| Dataset::build(&SynthesisConfig::small(), &AnalysisCtx::quiet()))
-}
-
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to loopback server");
-        Client { reader: BufReader::new(stream.try_clone().expect("clone stream")), writer: stream }
-    }
-
-    fn req(&mut self, line: &str) -> String {
-        self.writer.write_all(line.as_bytes()).expect("send request");
-        self.writer.write_all(b"\n").expect("send newline");
-        self.writer.flush().expect("flush");
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply).expect("read reply");
-        assert!(reply.ends_with('\n'), "reply not line-terminated: {reply:?}");
-        reply.trim_end().to_string()
-    }
 }
 
 fn start() -> vnet_serve::ServerHandle {
@@ -60,7 +37,7 @@ fn error_code(reply: &str) -> String {
 fn unversioned_lines_are_rejected_like_unsupported_versions() {
     let handle = start();
     handle.register_dataset("snap", dataset().clone());
-    let mut c = Client::connect(handle.local_addr());
+    let mut c = LineClient::connect(handle.local_addr());
 
     // A line without `"v"` gets exactly the unsupported-version reply,
     // and that reply names the v1 envelope.
@@ -89,7 +66,7 @@ fn unversioned_lines_are_rejected_like_unsupported_versions() {
 fn v1_rejects_unknown_keys_and_versions_with_invalid_input() {
     let handle = start();
     handle.register_dataset("snap", dataset().clone());
-    let mut c = Client::connect(handle.local_addr());
+    let mut c = LineClient::connect(handle.local_addr());
 
     // Misspelled option under v1: structured invalid_input, not a silent
     // fall-back to the default knob.
@@ -136,7 +113,7 @@ fn oracle_fingerprints(seed: u64, days: u32) -> Vec<u64> {
 #[test]
 fn as_of_time_travel_matches_the_churn_oracle_with_zero_divergence() {
     let handle = start();
-    let mut c = Client::connect(handle.local_addr());
+    let mut c = LineClient::connect(handle.local_addr());
 
     // Register over the wire with churn knobs; scale "small" builds the
     // same dataset as the local oracle's `Dataset::build`.
@@ -199,7 +176,7 @@ fn as_of_time_travel_matches_the_churn_oracle_with_zero_divergence() {
 fn equivalent_requests_share_one_cache_entry_regardless_of_spelling() {
     let handle = start();
     handle.register_dataset("s", dataset().clone());
-    let mut c = Client::connect(handle.local_addr());
+    let mut c = LineClient::connect(handle.local_addr());
 
     // One semantic request, four spellings: canonical order, shuffled key
     // order, whitespace, and the default options preset spelled out.

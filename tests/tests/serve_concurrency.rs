@@ -15,7 +15,7 @@
 //!    drains on a condvar (`serve.drain_wakeups` stays a handful, where a
 //!    5 ms poll loop would take hundreds of iterations).
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::{Barrier, OnceLock};
 use std::time::Duration;
@@ -23,41 +23,13 @@ use std::time::Duration;
 use verified_net::{
     run_analysis_section, AnalysisCtx, AnalysisOptions, Dataset, Section, SynthesisConfig,
 };
+use vnet_integration_tests::LineClient;
 use vnet_serve::{Server, ServerConfig, ServerHandle};
 
 /// One small dataset shared by every test in this file.
 fn dataset() -> &'static Dataset {
     static DS: OnceLock<Dataset> = OnceLock::new();
     DS.get_or_init(|| Dataset::build(&SynthesisConfig::small(), &AnalysisCtx::quiet()))
-}
-
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to loopback server");
-        Client {
-            reader: BufReader::new(stream.try_clone().expect("clone stream")),
-            writer: stream,
-        }
-    }
-
-    fn req(&mut self, line: &str) -> String {
-        self.writer.write_all(line.as_bytes()).expect("send request");
-        self.writer.write_all(b"\n").expect("send newline");
-        self.writer.flush().expect("flush");
-        self.read_reply()
-    }
-
-    fn read_reply(&mut self) -> String {
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply).expect("read reply");
-        assert!(reply.ends_with('\n'), "reply not line-terminated: {reply:?}");
-        reply.trim_end().to_string()
-    }
 }
 
 fn start(config: ServerConfig) -> ServerHandle {
@@ -74,16 +46,16 @@ fn counter(handle: &ServerHandle, name: &str) -> u64 {
 #[test]
 fn slow_writer_request_survives_read_timeout_ticks() {
     let handle = start(ServerConfig::default());
-    let mut c = Client::connect(handle.local_addr());
+    let mut c = LineClient::connect(handle.local_addr());
 
     let request = b"{\"v\":1,\"cmd\":\"status\"}\n";
     for &byte in request.iter() {
-        c.writer.write_all(&[byte]).expect("send one byte");
-        c.writer.flush().expect("flush one byte");
+        c.stream().write_all(&[byte]).expect("send one byte");
+        c.stream().flush().expect("flush one byte");
         // > the 100 ms read tick, so every byte lands in a fresh tick.
         std::thread::sleep(Duration::from_millis(150));
     }
-    let reply = c.read_reply();
+    let reply = c.recv();
     let v: serde_json::Value = serde_json::from_str(&reply).expect("reply parses");
     assert_eq!(
         v["ok"].as_bool(),
@@ -112,7 +84,7 @@ fn concurrent_identical_requests_coalesce_to_one_computation() {
         .map(|_| {
             let barrier = std::sync::Arc::clone(&barrier);
             std::thread::spawn(move || {
-                let mut c = Client::connect(addr);
+                let mut c = LineClient::connect(addr);
                 barrier.wait();
                 c.req(analyze)
             })
@@ -165,13 +137,13 @@ fn drain_under_load_is_lossless_and_event_driven() {
 
     // The observer connects before the shutdown so its connection outlives
     // the listener; its back-to-back requests keep the connection busy.
-    let mut observer = Client::connect(addr);
+    let mut observer = LineClient::connect(addr);
 
     let in_flight: Vec<_> = [3u64, 4, 5, 6]
         .into_iter()
         .map(|seed| {
             std::thread::spawn(move || {
-                let mut c = Client::connect(addr);
+                let mut c = LineClient::connect(addr);
                 c.req(&format!(
                     r#"{{"v":1,"cmd":"analyze","snapshot":"s","sections":["centrality"],"options":{{"seed":{seed}}}}}"#
                 ))
@@ -190,7 +162,7 @@ fn drain_under_load_is_lossless_and_event_driven() {
     // Shutdown drains in a background client; its reply blocks until
     // quiescence.
     let shutdown = std::thread::spawn(move || {
-        let mut c = Client::connect(addr);
+        let mut c = LineClient::connect(addr);
         c.req(r#"{"v":1,"cmd":"shutdown"}"#)
     });
 

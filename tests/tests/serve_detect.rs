@@ -6,34 +6,9 @@
 //! detect cache's shard-labelled hit/miss counters, and the structured
 //! errors for snapshots without a planted workload.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use vnet_integration_tests::LineClient;
 use vnet_serve::{Server, ServerConfig};
 use vnet_synth::SybilConfig;
-
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to loopback server");
-        Client {
-            reader: BufReader::new(stream.try_clone().expect("clone stream")),
-            writer: stream,
-        }
-    }
-
-    fn req(&mut self, line: &str) -> String {
-        self.writer.write_all(line.as_bytes()).expect("send request");
-        self.writer.write_all(b"\n").expect("send newline");
-        self.writer.flush().expect("flush");
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply).expect("read reply");
-        reply.trim_end().to_string()
-    }
-}
 
 fn json(reply: &str) -> serde_json::Value {
     serde_json::from_str(reply).expect("reply parses as JSON")
@@ -63,7 +38,7 @@ fn horizon() -> u32 {
 #[test]
 fn detect_round_trip_day_awareness_and_errors() {
     let handle = Server::start(ServerConfig::default()).expect("bind loopback server");
-    let mut c = Client::connect(handle.local_addr());
+    let mut c = LineClient::connect(handle.local_addr());
     let days = horizon();
     let planted = SybilConfig::default().planted_count();
 

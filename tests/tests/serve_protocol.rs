@@ -5,10 +5,10 @@
 //! malformed-request and backpressure replies, per-request timeouts, and
 //! graceful-shutdown draining.
 
-use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::OnceLock;
 use verified_net::{AnalysisCtx, Dataset, SynthesisConfig};
+use vnet_integration_tests::LineClient;
 use vnet_serve::{Server, ServerConfig};
 
 /// One small dataset shared by every test in this file (synthesis is the
@@ -16,29 +16,6 @@ use vnet_serve::{Server, ServerConfig};
 fn dataset() -> &'static Dataset {
     static DS: OnceLock<Dataset> = OnceLock::new();
     DS.get_or_init(|| Dataset::build(&SynthesisConfig::small(), &AnalysisCtx::quiet()))
-}
-
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to loopback server");
-        Client { reader: BufReader::new(stream.try_clone().expect("clone stream")), writer: stream }
-    }
-
-    /// Send one request line and read the one reply line.
-    fn req(&mut self, line: &str) -> String {
-        self.writer.write_all(line.as_bytes()).expect("send request");
-        self.writer.write_all(b"\n").expect("send newline");
-        self.writer.flush().expect("flush");
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply).expect("read reply");
-        assert!(reply.ends_with('\n'), "reply not line-terminated: {reply:?}");
-        reply.trim_end().to_string()
-    }
 }
 
 fn start(config: ServerConfig) -> vnet_serve::ServerHandle {
@@ -54,7 +31,7 @@ fn counter(metrics_reply: &str, name: &str) -> u64 {
 fn register_analyze_and_cache_hit_round_trip() {
     let handle = start(ServerConfig::default());
     let fp = handle.register_dataset("snap", dataset().clone());
-    let mut c = Client::connect(handle.local_addr());
+    let mut c = LineClient::connect(handle.local_addr());
 
     // Status sees the snapshot.
     let status = c.req(r#"{"v":1,"cmd":"status"}"#);
@@ -98,7 +75,7 @@ fn register_over_the_wire_from_a_saved_bundle() {
     verified_net::save_dataset(dataset(), &dir).expect("save bundle");
 
     let handle = start(ServerConfig::default());
-    let mut c = Client::connect(handle.local_addr());
+    let mut c = LineClient::connect(handle.local_addr());
     let reply = c.req(&format!(
         r#"{{"v":1,"cmd":"register","name":"wire","dir":{}}}"#,
         serde_json::to_string(&dir.display().to_string()).unwrap()
@@ -128,7 +105,7 @@ fn cold_replies_match_across_independent_servers() {
         .map(|_| {
             let handle = start(ServerConfig::default());
             handle.register_dataset("s", dataset().clone());
-            let mut c = Client::connect(handle.local_addr());
+            let mut c = LineClient::connect(handle.local_addr());
             let reply = c.req(analyze);
             handle.shutdown();
             handle.join();
@@ -141,7 +118,7 @@ fn cold_replies_match_across_independent_servers() {
 #[test]
 fn malformed_requests_get_structured_errors() {
     let handle = start(ServerConfig::default());
-    let mut c = Client::connect(handle.local_addr());
+    let mut c = LineClient::connect(handle.local_addr());
     for (line, code) in [
         ("this is not json", "bad_request"),
         (r#"{"v":1,"cmd":"dance"}"#, "bad_request"),
@@ -169,7 +146,7 @@ fn queue_full_backpressure_reply() {
     let config = ServerConfig { max_in_flight: 0, ..ServerConfig::default() };
     let handle = start(config);
     handle.register_dataset("s", dataset().clone());
-    let mut c = Client::connect(handle.local_addr());
+    let mut c = LineClient::connect(handle.local_addr());
     let reply = c.req(r#"{"v":1,"cmd":"analyze","snapshot":"s","sections":["basic"]}"#);
     let v: serde_json::Value = serde_json::from_str(&reply).unwrap();
     assert_eq!(v["ok"].as_bool(), Some(false));
@@ -186,7 +163,7 @@ fn per_request_timeout_reply() {
     let config = ServerConfig { request_timeout_millis: 1, ..ServerConfig::default() };
     let handle = start(config);
     handle.register_dataset("s", dataset().clone());
-    let mut c = Client::connect(handle.local_addr());
+    let mut c = LineClient::connect(handle.local_addr());
     let reply = c.req(r#"{"v":1,"cmd":"analyze","snapshot":"s","sections":["centrality"]}"#);
     let v: serde_json::Value = serde_json::from_str(&reply).unwrap();
     assert_eq!(v["ok"].as_bool(), Some(false));
@@ -204,12 +181,12 @@ fn graceful_shutdown_drains_in_flight_work() {
     // Client A starts a slow analyze; client B asks for shutdown while A
     // is still in flight. A must still get its full reply.
     let worker = std::thread::spawn(move || {
-        let mut a = Client::connect(addr);
+        let mut a = LineClient::connect(addr);
         a.req(r#"{"v":1,"cmd":"analyze","snapshot":"s","sections":["centrality"],"options":{"seed":3}}"#)
     });
     // Give A a moment to be admitted before requesting shutdown.
     std::thread::sleep(std::time::Duration::from_millis(150));
-    let mut b = Client::connect(addr);
+    let mut b = LineClient::connect(addr);
     let shutdown_reply = b.req(r#"{"v":1,"cmd":"shutdown"}"#);
     let v: serde_json::Value = serde_json::from_str(&shutdown_reply).unwrap();
     assert_eq!(v["ok"].as_bool(), Some(true));

@@ -10,41 +10,16 @@
 //! on a quiescent shard and shard-filtered `metrics` after a known
 //! request history, across independent servers.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use verified_net::{AnalysisCtx, Dataset, SynthesisConfig};
+use vnet_integration_tests::LineClient;
 use vnet_serve::{Server, ServerConfig, ServerHandle};
 
 fn dataset() -> &'static Dataset {
     static DS: OnceLock<Dataset> = OnceLock::new();
     DS.get_or_init(|| Dataset::build(&SynthesisConfig::small(), &AnalysisCtx::quiet()))
-}
-
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to loopback server");
-        Client {
-            reader: BufReader::new(stream.try_clone().expect("clone stream")),
-            writer: stream,
-        }
-    }
-
-    fn req(&mut self, line: &str) -> String {
-        self.writer.write_all(line.as_bytes()).expect("send request");
-        self.writer.write_all(b"\n").expect("send newline");
-        self.writer.flush().expect("flush");
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply).expect("read reply");
-        reply.trim_end().to_string()
-    }
 }
 
 /// A slow request: 2048-pivot betweenness holds a worker for roughly half
@@ -59,7 +34,7 @@ fn slow_analyze(snapshot: &str, seed: u64) -> String {
 }
 
 /// Poll shard-targeted status until `(queued, running)` matches.
-fn wait_for_occupancy(c: &mut Client, snapshot: &str, queued: u64, running: u64) {
+fn wait_for_occupancy(c: &mut LineClient, snapshot: &str, queued: u64, running: u64) {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let status = c.req(&format!("{{\"v\":1,\"cmd\":\"status\",\"snapshot\":\"{snapshot}\"}}"));
@@ -93,12 +68,12 @@ fn saturated_hot_shard_does_not_starve_the_cold_shard() {
     let slow_clients: Vec<_> = (0..2)
         .map(|i| {
             std::thread::spawn(move || {
-                let mut c = Client::connect(addr);
+                let mut c = LineClient::connect(addr);
                 c.req(&slow_analyze("hot", 500 + i))
             })
         })
         .collect();
-    let mut c = Client::connect(addr);
+    let mut c = LineClient::connect(addr);
     wait_for_occupancy(&mut c, "hot", 1, 1);
 
     // The hot shard is full: a third request is refused with queue_full …
@@ -154,7 +129,7 @@ fn shard_targeted_status_is_golden() {
     // function of the registered dataset and the (quiescent) shard state.
     for _ in 0..2 {
         let handle = quiescent_server();
-        let mut c = Client::connect(handle.local_addr());
+        let mut c = LineClient::connect(handle.local_addr());
         assert_eq!(c.req(r#"{"v":1,"cmd":"status","snapshot":"snap"}"#), expected);
         let unknown = c.req(r#"{"v":1,"cmd":"status","snapshot":"ghost"}"#);
         let v: serde_json::Value = serde_json::from_str(&unknown).expect("unknown parse");
@@ -174,7 +149,7 @@ fn shard_filtered_metrics_are_golden_after_one_analyze() {
         let handle = Server::start(ServerConfig::default()).expect("bind loopback server");
         handle.register_dataset("a", dataset().clone());
         handle.register_dataset("b", dataset().clone());
-        let mut c = Client::connect(handle.local_addr());
+        let mut c = LineClient::connect(handle.local_addr());
         let served = c.req(r#"{"v":1,"cmd":"analyze","snapshot":"a","sections":["basic"],"options":{"seed":3}}"#);
         assert!(served.starts_with("{\"ok\":true"), "analyze failed: {served}");
         // The worker publishes its reply before settling the running
