@@ -112,6 +112,33 @@ pub struct Dataset {
     pub provenance: DatasetProvenance,
 }
 
+/// What [`Dataset::fingerprint`] hashes besides the graph: the profiles,
+/// the activity series and its start date. A churn day is its snapshot
+/// with another graph, so one digest serves every day of a snapshot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DatasetDigest {
+    profiles: u64,
+    activity: u64,
+    activity_start: Date,
+}
+
+impl DatasetDigest {
+    /// The fingerprint of the dataset this digest was taken of, with its
+    /// graph replaced by `graph`. The graph's `VNG1` bytes stream into the
+    /// hash; no copy of them is made.
+    pub fn fingerprint(&self, graph: &DiGraph) -> u64 {
+        let mut g = vnet_obs::Fnv1a::new();
+        vnet_graph::io::write_binary(graph, &mut g).expect("hashing a graph cannot fail");
+        vnet_obs::fingerprint_str(&format!(
+            "vnet-dataset-v1:{:016x}:{:016x}:{:016x}:{}",
+            g.finish(),
+            self.profiles,
+            self.activity,
+            self.activity_start
+        ))
+    }
+}
+
 /// Headline numbers of a dataset (paper Section III / Table-free text).
 #[derive(Debug, Clone, Serialize)]
 pub struct DatasetSummary {
@@ -246,22 +273,23 @@ impl Dataset {
     /// provenance are deliberately excluded, so a dataset saved and
     /// reloaded from disk fingerprints identically to the crawl that
     /// produced it. This is the dataset half of the `vnet-serve` result
-    /// cache key.
+    /// cache key. It is `self.digest().fingerprint(&self.graph)`.
     pub fn fingerprint(&self) -> u64 {
-        let mut graph_bytes = Vec::new();
-        vnet_graph::io::write_binary(&self.graph, &mut graph_bytes)
-            .expect("in-memory graph serialization cannot fail");
-        let g = vnet_obs::fingerprint_bytes(&graph_bytes);
-        let p = vnet_obs::fingerprint_str(
-            &serde_json::to_string(&self.profiles).expect("profiles serialize"),
-        );
-        let a = vnet_obs::fingerprint_str(
-            &serde_json::to_string(&self.activity).expect("activity serializes"),
-        );
-        vnet_obs::fingerprint_str(&format!(
-            "vnet-dataset-v1:{g:016x}:{p:016x}:{a:016x}:{}",
-            self.activity_start
-        ))
+        self.digest().fingerprint(&self.graph)
+    }
+
+    /// The graph-independent part of [`Dataset::fingerprint`]: take it
+    /// once, then fingerprint any number of graphs against it.
+    pub fn digest(&self) -> DatasetDigest {
+        DatasetDigest {
+            profiles: vnet_obs::fingerprint_str(
+                &serde_json::to_string(&self.profiles).expect("profiles serialize"),
+            ),
+            activity: vnet_obs::fingerprint_str(
+                &serde_json::to_string(&self.activity).expect("activity serializes"),
+            ),
+            activity_start: self.activity_start,
+        }
     }
 
     /// Assemble a dataset from parts (e.g. loaded from disk).
@@ -378,13 +406,63 @@ mod tests {
         assert_eq!(faulty.fingerprint(), clean.fingerprint());
     }
 
+    /// The `vnet-dataset-v1` fingerprint as first defined: every part
+    /// serialized into a buffer, then hashed.
+    fn buffered_fingerprint(ds: &Dataset) -> u64 {
+        let mut graph_bytes = Vec::new();
+        vnet_graph::io::write_binary(&ds.graph, &mut graph_bytes).expect("in-memory write");
+        let g = vnet_obs::fingerprint_bytes(&graph_bytes);
+        let p = vnet_obs::fingerprint_str(&serde_json::to_string(&ds.profiles).expect("json"));
+        let a = vnet_obs::fingerprint_str(&serde_json::to_string(&ds.activity).expect("json"));
+        vnet_obs::fingerprint_str(&format!(
+            "vnet-dataset-v1:{g:016x}:{p:016x}:{a:016x}:{}",
+            ds.activity_start
+        ))
+    }
+
+    #[test]
+    fn digest_then_graph_is_the_buffered_fingerprint() {
+        let small = Dataset::build(&SynthesisConfig::small(), &AnalysisCtx::quiet());
+        let graph = vnet_graph::builder::from_edges(3, &[(0, 1), (1, 2), (2, 0), (0, 2)])
+            .expect("valid edges");
+        let parts = Dataset::from_parts(
+            graph,
+            small.profiles[..3].to_vec(),
+            vec![4.0, 0.5, 7.25],
+            Date::new(2017, 6, 1),
+        );
+        for ds in [&small, &parts] {
+            let fp = ds.digest().fingerprint(&ds.graph);
+            assert_eq!(fp, ds.fingerprint());
+            assert_eq!(fp, buffered_fingerprint(ds));
+        }
+        // One digest fingerprints any graph as the dataset holding it.
+        let swapped = Dataset { graph: parts.graph.clone(), ..small.clone() };
+        assert_eq!(small.digest().fingerprint(&parts.graph), buffered_fingerprint(&swapped));
+    }
+
     #[test]
     fn fingerprint_is_stable_and_content_sensitive() {
         let ds = Dataset::build(&SynthesisConfig::small(), &AnalysisCtx::quiet());
-        assert_eq!(ds.fingerprint(), ds.fingerprint());
-        let mut tweaked = ds.clone();
-        tweaked.activity[0] += 1.0;
-        assert_ne!(ds.fingerprint(), tweaked.fingerprint());
+        let fp = ds.fingerprint();
+        assert_eq!(fp, ds.fingerprint());
+        let changed = |tweak: &dyn Fn(&mut Dataset)| {
+            let mut tweaked = ds.clone();
+            tweak(&mut tweaked);
+            tweaked.fingerprint()
+        };
+        assert_ne!(fp, changed(&|d| d.activity[0] += 1.0), "activity");
+        assert_ne!(fp, changed(&|d| d.profiles[7].listed_count += 1), "profile count");
+        assert_ne!(fp, changed(&|d| d.profiles[0].bio.push('.')), "profile bio");
+        assert_ne!(fp, changed(&|d| d.activity_start = Date::new(2017, 6, 2)), "start date");
+        // One edge dropped from the graph.
+        let edges: Vec<_> = ds.graph.edges().skip(1).collect();
+        let fewer = vnet_graph::builder::from_edges(ds.graph.node_count() as u32, &edges)
+            .expect("valid edges");
+        assert_ne!(fp, changed(&|d| d.graph = fewer.clone()), "edge");
+        // Telemetry and provenance are not content.
+        assert_eq!(fp, changed(&|d| d.crawl_stats.passes += 1), "crawl stats");
+        assert_eq!(fp, changed(&|d| d.provenance = DatasetProvenance::Loaded), "provenance");
     }
 
     #[test]

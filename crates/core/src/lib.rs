@@ -78,7 +78,7 @@ pub mod report;
 pub mod section;
 pub mod separation;
 
-pub use dataset::{Dataset, DatasetProvenance, SynthesisConfig};
+pub use dataset::{Dataset, DatasetDigest, DatasetProvenance, SynthesisConfig};
 pub use error::{Result, VnetError};
 pub use experiments::{Experiment, EXPERIMENTS};
 pub use fingerprint::{classify_fingerprint, NetworkFingerprint};

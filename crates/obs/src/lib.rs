@@ -65,7 +65,7 @@ mod trace;
 use std::sync::{Arc, OnceLock};
 
 pub use manifest::{
-    fingerprint_bytes, RunManifest, StageTiming, MANIFEST_SCHEMA_VERSION,
+    fingerprint_bytes, Fnv1a, RunManifest, StageTiming, MANIFEST_SCHEMA_VERSION,
 };
 pub use metrics::{metric_key, HistogramSnapshot, Labels, Registry, DEFAULT_BUCKETS};
 pub use prom::{render_parts as render_prometheus_parts, render_prometheus};

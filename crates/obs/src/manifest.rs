@@ -212,15 +212,55 @@ fn fmt_micros(micros: u64) -> String {
     }
 }
 
-/// 64-bit FNV-1a over raw bytes — the workspace's stable fingerprint
-/// primitive (matches the endpoint-salt hash in `vnet-twittersim`).
-pub fn fingerprint_bytes(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+/// Streaming 64-bit FNV-1a — the workspace's one stable fingerprint
+/// primitive. Bytes may arrive in any chunking: the hash depends only on
+/// their concatenation, so a serializer can write straight into it
+/// ([`std::io::Write`]) instead of into a buffer that is hashed after.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The empty hash (the FNV-1a offset basis).
+    pub const fn new() -> Self {
+        Fnv1a(0xCBF2_9CE4_8422_2325)
     }
-    h
+
+    /// Fold `bytes` into the hash.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    /// The hash of every byte folded in so far.
+    pub const fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl std::io::Write for Fnv1a {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.update(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// 64-bit FNV-1a over raw bytes: [`Fnv1a`] over one chunk.
+pub fn fingerprint_bytes(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::new();
+    h.update(bytes);
+    h.finish()
 }
 
 #[cfg(test)]
@@ -302,6 +342,34 @@ mod tests {
         let a = fingerprint_bytes(b"verified-net");
         assert_eq!(a, fingerprint_bytes(b"verified-net"));
         assert_ne!(a, fingerprint_bytes(b"verified-net!"));
+        // The published 64-bit FNV-1a test vectors.
+        assert_eq!(fingerprint_bytes(b"a"), 0xAF63_DC4C_8601_EC8C);
+        assert_eq!(fingerprint_bytes(b"foobar"), 0x8594_4171_F739_67E8);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// Any chunking of a byte string, through `update` or through
+        /// `io::Write`, hashes to the one-chunk fingerprint of the whole.
+        #[test]
+        fn any_chunking_hashes_to_the_whole_string(
+            bytes in proptest::collection::vec(0u8..=255, 0..600),
+            cuts in proptest::collection::vec(0usize..600, 0..12),
+        ) {
+            use std::io::Write;
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(bytes.len())).collect();
+            cuts.sort_unstable();
+            let (mut by_update, mut by_write) = (Fnv1a::new(), Fnv1a::new());
+            let mut start = 0;
+            for end in cuts.into_iter().chain([bytes.len()]) {
+                by_update.update(&bytes[start..end]);
+                by_write.write_all(&bytes[start..end]).expect("hashing cannot fail");
+                start = end;
+            }
+            proptest::prop_assert_eq!(by_update.finish(), fingerprint_bytes(&bytes));
+            proptest::prop_assert_eq!(by_write.finish(), fingerprint_bytes(&bytes));
+        }
     }
 
     #[test]

@@ -386,9 +386,11 @@ fn register_snapshot(
     dataset: Dataset,
     temporal: Option<TemporalState>,
 ) -> u64 {
+    // Hash before the registry lock: every lookup waits on that lock.
+    let data = SnapshotData::new(dataset);
     shared.shards.register(
         name,
-        dataset,
+        data,
         temporal,
         crate::shards::ShardLimits {
             workers: shared.config.max_in_flight,

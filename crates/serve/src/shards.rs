@@ -29,8 +29,8 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use verified_net::{Dataset, VnetError};
-use vnet_graph::NodeId;
+use verified_net::{Dataset, DatasetDigest, VnetError};
+use vnet_graph::{DiGraph, NodeId};
 use vnet_obs::Obs;
 use vnet_synth::PlantedLabels;
 use vnet_temporal::Timeline;
@@ -56,10 +56,39 @@ pub(crate) struct ShardLimits {
     pub(crate) cache_capacity: usize,
 }
 
-/// The swappable dataset inside a shard.
+/// The swappable dataset inside a shard, with its fingerprint and the
+/// graph-independent digest every churn day of it shares.
 pub(crate) struct SnapshotData {
     pub(crate) dataset: Dataset,
+    digest: DatasetDigest,
     pub(crate) fingerprint: u64,
+}
+
+impl SnapshotData {
+    /// Digest and fingerprint `dataset`: once per registration, before
+    /// the registry lock is taken.
+    pub(crate) fn new(dataset: Dataset) -> Self {
+        let digest = dataset.digest();
+        let fingerprint = digest.fingerprint(&dataset.graph);
+        Self { dataset, digest, fingerprint }
+    }
+
+    /// This snapshot with its graph replaced by `graph`. Only the new
+    /// graph is hashed: the profiles, activity series and start date are
+    /// this snapshot's, and so is their digest.
+    fn with_graph(&self, graph: DiGraph) -> Self {
+        let base = &self.dataset;
+        let fingerprint = self.digest.fingerprint(&graph);
+        let dataset = Dataset {
+            graph,
+            profiles: base.profiles.clone(),
+            activity: base.activity.clone(),
+            activity_start: base.activity_start,
+            crawl_stats: base.crawl_stats.clone(),
+            provenance: base.provenance,
+        };
+        Self { dataset, digest: self.digest, fingerprint }
+    }
 }
 
 /// Rendered `detect` payloads kept per sybil shard, keyed `(day, top_k)`.
@@ -132,9 +161,7 @@ impl TemporalState {
             .timeline
             .graph_as_of(day)
             .map_err(VnetError::InvalidInput)?;
-        let dataset = Dataset { graph, ..base.dataset.clone() };
-        let fingerprint = dataset.fingerprint();
-        let data = Arc::new(SnapshotData { dataset, fingerprint });
+        let data = Arc::new(base.with_graph(graph));
         // A concurrent materialization of the same day may have won the
         // race; the insert then hands back its copy so all readers share
         // one allocation (this call still paid for a replay).
@@ -159,16 +186,15 @@ pub(crate) struct Shard {
 impl Shard {
     fn new(
         name: &str,
-        dataset: Dataset,
+        data: Arc<SnapshotData>,
         limits: ShardLimits,
         obs: Arc<Obs>,
         stats: &ServeStats,
     ) -> Self {
-        let fingerprint = dataset.fingerprint();
         let exec_telemetry = ExecutorTelemetry::new(Arc::clone(&stats.telemetry), name);
         Self {
             name: name.to_string(),
-            data: Mutex::new(Arc::new(SnapshotData { dataset, fingerprint })),
+            data: Mutex::new(data),
             temporal: Mutex::new(None),
             executor: Executor::new(limits.workers, limits.queue_depth, obs, name, exec_telemetry),
             cache: Mutex::new(Lru::new(limits.cache_capacity)),
@@ -183,11 +209,8 @@ impl Shard {
         Arc::clone(&self.data.lock().expect("shard data lock"))
     }
 
-    fn swap_data(&self, dataset: Dataset) -> u64 {
-        let fingerprint = dataset.fingerprint();
-        *self.data.lock().expect("shard data lock") =
-            Arc::new(SnapshotData { dataset, fingerprint });
-        fingerprint
+    fn swap_data(&self, data: Arc<SnapshotData>) {
+        *self.data.lock().expect("shard data lock") = data;
     }
 
     /// The shard's temporal state, when it was registered with churn.
@@ -212,28 +235,32 @@ impl ShardRegistry {
         Self::default()
     }
 
-    /// Register (or refresh) `name`, returning the dataset fingerprint.
-    /// First registration builds the shard's executor/cache/flights;
-    /// re-registration swaps the dataset and keeps the pools warm.
+    /// Register (or refresh) `name` with an already fingerprinted
+    /// snapshot, returning its fingerprint. First registration builds the
+    /// shard's executor/cache/flights; re-registration swaps the dataset
+    /// and keeps the pools warm. The registry lock is held only for the
+    /// lookup and the insert or swap: hashing happened in
+    /// [`SnapshotData::new`].
     pub(crate) fn register(
         &self,
         name: &str,
-        dataset: Dataset,
+        data: SnapshotData,
         temporal: Option<TemporalState>,
         limits: ShardLimits,
         obs: &Arc<Obs>,
         stats: &ServeStats,
     ) -> u64 {
+        let fingerprint = data.fingerprint;
+        let data = Arc::new(data);
         let mut shards = self.shards.lock().expect("shard registry lock");
         if let Some(shard) = shards.get(name) {
-            let fingerprint = shard.swap_data(dataset);
+            shard.swap_data(data);
             shard.set_temporal(temporal);
             return fingerprint;
         }
-        let shard = Arc::new(Shard::new(name, dataset, limits, Arc::clone(obs), stats));
+        let shard = Arc::new(Shard::new(name, data, limits, Arc::clone(obs), stats));
         shard.set_temporal(temporal);
-        let fingerprint = shard.data().fingerprint;
-        shards.insert(name.to_string(), Arc::clone(&shard));
+        shards.insert(name.to_string(), shard);
         obs.set_counter("serve.snapshots", &[], shards.len() as u64);
         fingerprint
     }
@@ -277,7 +304,7 @@ mod tests {
         let obs = Arc::new(Obs::new());
         let stats = stats();
         let ds = dataset();
-        let fp = registry.register("a", ds.clone(), None, LIMITS, &obs, &stats);
+        let fp = registry.register("a", SnapshotData::new(ds.clone()), None, LIMITS, &obs, &stats);
         assert_eq!(fp, ds.fingerprint());
         assert_eq!(registry.names(), vec!["a".to_string()]);
         let shard = registry.get("a").expect("shard exists");
@@ -288,7 +315,7 @@ mod tests {
             CacheKey { dataset: fp, options: 1, section: verified_net::Section::Basic, day: None },
             Arc::new(CachedSection { payload_json: "{}".to_string(), fingerprint: 0 }),
         );
-        let fp2 = registry.register("a", ds.clone(), None, LIMITS, &obs, &stats);
+        let fp2 = registry.register("a", SnapshotData::new(ds), None, LIMITS, &obs, &stats);
         assert_eq!(fp2, fp);
         let again = registry.get("a").expect("shard exists");
         assert!(Arc::ptr_eq(&shard, &again), "re-register rebuilt the shard");
@@ -310,7 +337,7 @@ mod tests {
         let engine = vnet_temporal::EngineConfig { compact_every: 7, refit_every: 7, pagerank: None };
         let timeline = Timeline::build(stream, engine, 6, 7, &AnalysisCtx::quiet());
         let temporal = TemporalState::new(timeline, 1);
-        let base = SnapshotData { fingerprint: base.fingerprint(), dataset: base };
+        let base = SnapshotData::new(base);
         let fetch = |day: u32| temporal.day_data(day, &base).expect("day within the horizon");
 
         // Days 1-4 fill the cache; a repeat is a hit sharing the cached copy.
@@ -339,6 +366,41 @@ mod tests {
             assert!(!fetch(day).1, "day {day} was evicted");
         }
         assert_eq!(temporal.day_cache.lock().expect("day cache").len(), DAY_CACHE_CAPACITY);
+    }
+
+    #[test]
+    fn every_churn_day_fingerprints_as_the_base_with_that_days_graph() {
+        // A sybil shard as registration builds it: the planted graph is
+        // the base, and the purchase campaigns arrive as churn days.
+        let plain = dataset();
+        let workload = vnet_synth::inject_sybil(&plain.graph, &vnet_synth::SybilConfig::default());
+        let base = Dataset { graph: workload.graph.clone(), ..plain };
+        let churn = vnet_synth::ChurnConfig::default();
+        let mut stream = vnet_synth::ChurnStream::from_graph(&base.graph, churn);
+        workload.attach(&mut stream);
+        let engine = vnet_temporal::EngineConfig { compact_every: 7, refit_every: 7, pagerank: None };
+        let horizon = 10;
+        let timeline = Timeline::build(stream, engine, horizon, 7, &AnalysisCtx::quiet());
+        let sybil = SybilState::new(workload.labels.clone(), vec![]);
+        let temporal = TemporalState::new(timeline, churn.seed).with_sybil(sybil);
+        let snapshot = SnapshotData::new(base.clone());
+        assert_eq!(snapshot.fingerprint, base.fingerprint());
+
+        let mut distinct = std::collections::BTreeSet::new();
+        for day in 0..=horizon {
+            let (data, _) = temporal.day_data(day, &snapshot).expect("day within the horizon");
+            let graph = temporal.timeline.graph_as_of(day).expect("day within the horizon");
+            assert_eq!(data.dataset.graph, graph, "day {day}");
+            let want = Dataset { graph, ..base.clone() }.fingerprint();
+            assert_eq!(data.fingerprint, want, "day {day}");
+            assert_eq!(data.dataset.profiles, base.profiles, "day {day}");
+            assert_eq!(data.dataset.activity, base.activity, "day {day}");
+            assert_eq!(data.dataset.activity_start, base.activity_start, "day {day}");
+            distinct.insert(data.fingerprint);
+        }
+        // Churn moves every day's graph, so every day keys its own cache
+        // entries.
+        assert_eq!(distinct.len(), horizon as usize + 1);
     }
 
     #[test]
@@ -378,8 +440,8 @@ mod tests {
         let obs = Arc::new(Obs::new());
         let stats = stats();
         let ds = dataset();
-        registry.register("a", ds.clone(), None, LIMITS, &obs, &stats);
-        registry.register("b", ds, None, LIMITS, &obs, &stats);
+        registry.register("a", SnapshotData::new(ds.clone()), None, LIMITS, &obs, &stats);
+        registry.register("b", SnapshotData::new(ds), None, LIMITS, &obs, &stats);
         assert_eq!(registry.names(), vec!["a".to_string(), "b".to_string()]);
         let a = registry.get("a").expect("a");
         let b = registry.get("b").expect("b");

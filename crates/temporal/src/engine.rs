@@ -160,11 +160,11 @@ pub fn structural_shifts(series: &StructuralSeries, penalty: f64) -> Vec<Structu
 
 /// FNV-1a over a rank vector's exact bit patterns (little-endian bytes).
 fn rank_fingerprint(ranks: &[f64]) -> u64 {
-    let mut bytes = Vec::with_capacity(ranks.len() * 8);
+    let mut h = vnet_obs::Fnv1a::new();
     for r in ranks {
-        bytes.extend_from_slice(&r.to_bits().to_le_bytes());
+        h.update(&r.to_bits().to_le_bytes());
     }
-    vnet_obs::fingerprint_bytes(&bytes)
+    h.finish()
 }
 
 /// The incremental temporal engine. See module docs.

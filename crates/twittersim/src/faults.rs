@@ -383,15 +383,10 @@ fn mix4(a: u64, b: u64, c: u64, d: u64) -> u64 {
     split_mix(h ^ d.wrapping_mul(0x1656_67B1_9E37_79F9))
 }
 
-/// Hash an endpoint name to a decision salt.
+/// Hash an endpoint name to a decision salt (FNV-1a over the name bytes;
+/// stable across runs and platforms).
 pub(crate) fn endpoint_salt(name: &str) -> u64 {
-    // FNV-1a over the name bytes; stable across runs and platforms.
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in name.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    vnet_obs::fingerprint_str(name)
 }
 
 #[cfg(test)]

@@ -74,7 +74,9 @@
 #                             docs/API.md; no second CSR freeze, PageRank
 #                             loop, rate window, undirected merge or
 #                             sorted intersection; no newline written on
-#                             its own after a wire line)
+#                             its own after a wire line; no whole-dataset
+#                             hash or base-dataset clone in serve, and no
+#                             FNV-1a outside vnet-obs)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -120,6 +122,8 @@ powerlaw)
     cargo clippy -p vnet-stats -p vnet-powerlaw --no-deps -- -D warnings -D clippy::unwrap_used
     ;;
 serve)
+    # Unit tests, the shard registry's among them: every churn day of a
+    # sybil shard must fingerprint as its snapshot with that day's graph.
     cargo test -q -p vnet-serve
     # The vendored JSON parser reads every request line before admission.
     cargo test -q -p serde_json
@@ -233,6 +237,22 @@ full)
     if grep -rn --include='*.rs' -F 'write_all(b"\n")' crates/ tests/ examples/; then
         echo "error: a newline written on its own after a wire line" >&2
         echo "       (append '\\n' to the line and write both at once; see docs/API.md)" >&2
+        exit 1
+    fi
+    # A churn day is its snapshot with another graph: serve hashes a whole
+    # dataset once, in SnapshotData::new at registration, and a day only
+    # through the snapshot's DatasetDigest.
+    if grep -rn --include='*.rs' -F -e '..base.dataset.clone()' -e 'dataset.fingerprint()' crates/serve/src/; then
+        echo "error: serve clones a base dataset or hashes a whole dataset on the request path" >&2
+        echo "       (build days with SnapshotData::with_graph; hash once in SnapshotData::new)" >&2
+        exit 1
+    fi
+    # One FNV-1a: every fingerprint goes through vnet_obs (Fnv1a,
+    # fingerprint_bytes, fingerprint_str).
+    if grep -rn --include='*.rs' -i -E 'cbf2_?9ce4_?8422_?2325' crates/ tests/ examples/ \
+        | grep -v '^crates/obs/src/'; then
+        echo "error: an FNV-1a offset basis outside crates/obs/src/" >&2
+        echo "       (hash through vnet_obs::{Fnv1a, fingerprint_bytes, fingerprint_str})" >&2
         exit 1
     fi
     ;;
