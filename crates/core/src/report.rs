@@ -260,7 +260,8 @@ pub struct AnalysisReport {
 /// # Panics
 /// Panics if the dataset is too small for the configured estimators
 /// (power-law fits need tails; the battery is meant for graphs of at
-/// least a few thousand nodes). Use
+/// least a few thousand nodes), or if it lacks a profile for some graph
+/// node (the elite-core section reads one per node). Use
 /// [`crate::section::run_analysis_section`] for a non-panicking,
 /// per-section API.
 pub fn run_analysis(dataset: &Dataset, opts: &AnalysisOptions, ctx: &AnalysisCtx) -> AnalysisReport {
@@ -276,7 +277,8 @@ pub fn run_analysis(dataset: &Dataset, opts: &AnalysisOptions, ctx: &AnalysisCtx
     let centrality = section::sec_centrality(dataset, opts, ctx);
     let activity = section::sec_activity(dataset, opts, ctx)
         .expect("activity analysis failed — series too short?");
-    let elite_core = section::sec_elite_core(dataset, opts, ctx);
+    let elite_core = section::sec_elite_core(dataset, opts, ctx)
+        .expect("elite core analysis failed — fewer profiles than nodes?");
     let categories = section::sec_categories(dataset, opts, ctx);
     AnalysisReport {
         dataset: dataset.summary(),

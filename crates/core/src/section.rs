@@ -281,13 +281,23 @@ pub(crate) fn sec_activity(
     activity_analysis(ds, opts.lag_cap, ctx).map_err(|e| analysis_err(Section::Activity, e))
 }
 
+/// Refuses a dataset without one profile per graph node: core reach reads
+/// each member's profile. A sybil shard's graph carries planted accounts
+/// that have none.
 pub(crate) fn sec_elite_core(
     ds: &Dataset,
     _opts: &AnalysisOptions,
     ctx: &AnalysisCtx,
-) -> EliteCoreReport {
+) -> Result<EliteCoreReport> {
+    if ds.profiles.len() != ds.graph.node_count() {
+        return Err(VnetError::Inconsistent(format!(
+            "section 'elite_core' reads one profile per node: {} profiles for {} nodes",
+            ds.profiles.len(),
+            ds.graph.node_count()
+        )));
+    }
     let _span = ctx.span("analysis.elite_core");
-    elite_core_analysis(ds)
+    Ok(elite_core_analysis(ds))
 }
 
 pub(crate) fn sec_categories(
@@ -321,7 +331,7 @@ pub fn run_analysis_section(
         Section::Bios => SectionReport::Bios(sec_bios(dataset, opts, ctx)),
         Section::Centrality => SectionReport::Centrality(sec_centrality(dataset, opts, ctx)),
         Section::Activity => SectionReport::Activity(sec_activity(dataset, opts, ctx)?),
-        Section::EliteCore => SectionReport::EliteCore(sec_elite_core(dataset, opts, ctx)),
+        Section::EliteCore => SectionReport::EliteCore(sec_elite_core(dataset, opts, ctx)?),
         Section::Categories => SectionReport::Categories(sec_categories(dataset, opts, ctx)),
     })
 }
@@ -357,6 +367,21 @@ mod tests {
             vnet_powerlaw::PowerLawError::TooFewObservations { needed: 50, got: 3 },
         );
         assert_eq!(e.code(), "analysis");
+    }
+
+    #[test]
+    fn elite_core_refuses_a_dataset_with_fewer_profiles_than_nodes() {
+        let ctx = AnalysisCtx::quiet();
+        let mut ds = Dataset::build(&SynthesisConfig::small(), &ctx);
+        ds.profiles.truncate(ds.graph.node_count() - 1);
+        let opts = AnalysisOptions::quick();
+        match run_analysis_section(&ds, Section::EliteCore, &opts, &ctx) {
+            Err(e @ VnetError::Inconsistent(_)) => {
+                assert_eq!(e.code(), "inconsistent");
+                assert!(e.to_string().contains("elite_core"), "message lost the section: {e}");
+            }
+            other => panic!("expected Inconsistent, got {other:?}"),
+        }
     }
 
     #[test]

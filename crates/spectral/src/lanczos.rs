@@ -24,6 +24,13 @@
 //! decomposition depends on `n` alone, so every bit is the same at any
 //! thread count.
 //!
+//! Both phases of a pass stream the basis, so both take it `DOT_BLOCK`
+//! vectors at a time: the dot phase runs that many independent sums per
+//! pass over a task's rows, and the update phase loads each row once,
+//! subtracts the block's products in basis order and stores it once,
+//! instead of once per vector. Per row these are the operations of one
+//! pass per vector, in the same order, so the bits are those too.
+//!
 //! The iteration fans out only from 65,536 rows up. A smaller operator
 //! runs every matvec and sweep on the caller's thread, through the same
 //! row tasks in the same order. At that size each of them is a few
@@ -47,8 +54,9 @@ const EPS: f64 = f64::EPSILON;
 /// sweep.
 const SQRT_EPS: f64 = 1.0 / 67_108_864.0;
 
-/// Basis vectors whose coefficients share one pass over a task's rows;
-/// their add chains are independent, so the products overlap.
+/// Basis vectors that share one pass over a task's rows, in both phases
+/// of a sweep. The dot phase's add chains are independent, so the products
+/// overlap; the update phase loads and stores each row once per block.
 const DOT_BLOCK: usize = 8;
 
 /// Below this residual norm the Krylov space is exhausted.
@@ -373,16 +381,41 @@ impl Sweeper {
         }
         let coef: &[f64] = coef;
         par.merge(pool.for_each_chunk_mut(x, ROW_CHUNK, |_, offset, chunk| {
-            for (q, &c) in basis.iter().zip(coef) {
+            subtract_projections(chunk, basis, coef, offset);
+        }));
+        coef.iter().filter(|&&c| c != 0.0).count() as u64
+    }
+}
+
+/// `x[r] -= Σ_i coef[i] · q_i[offset + r]` for every row of `x`, each
+/// row's products subtracted in basis order. `DOT_BLOCK` vectors share
+/// one pass over the rows: a row is loaded once, has the block's products
+/// subtracted and is stored once. A zero coefficient is skipped, not
+/// subtracted (its `±0.0` product could flip a `-0.0` entry's sign), so a
+/// block that holds one, like the last partial block, goes vector by
+/// vector.
+fn subtract_projections(x: &mut [f64], basis: &[Vec<f64>], coef: &[f64], offset: usize) {
+    let rows = offset..offset + x.len();
+    for (qs, cs) in basis.chunks(DOT_BLOCK).zip(coef.chunks(DOT_BLOCK)) {
+        if qs.len() == DOT_BLOCK && cs.iter().all(|&c| c != 0.0) {
+            let qs: [&[f64]; DOT_BLOCK] = std::array::from_fn(|i| &qs[i][rows.clone()]);
+            let cs: [f64; DOT_BLOCK] = std::array::from_fn(|i| cs[i]);
+            for (r, y) in x.iter_mut().enumerate() {
+                let mut v = *y;
+                for (q, &c) in qs.iter().zip(&cs) {
+                    v -= c * q[r];
+                }
+                *y = v;
+            }
+        } else {
+            for (q, &c) in qs.iter().zip(cs) {
                 if c != 0.0 {
-                    let q = &q[offset..offset + chunk.len()];
-                    for (y, &qy) in chunk.iter_mut().zip(q) {
+                    for (y, &qy) in x.iter_mut().zip(&q[rows.clone()]) {
                         *y -= c * qy;
                     }
                 }
             }
-        }));
-        coef.iter().filter(|&&c| c != 0.0).count() as u64
+        }
     }
 }
 
@@ -429,10 +462,80 @@ fn normalize(a: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use vnet_graph::builder::from_edges;
     use vnet_graph::GraphBuilder;
+
+    /// The update phase the block kernel replaced, kept as its reference:
+    /// one pass over `x` per basis vector, in basis order, skipping zero
+    /// coefficients.
+    fn subtract_per_vector(x: &mut [f64], basis: &[Vec<f64>], coef: &[f64]) {
+        for (q, &c) in basis.iter().zip(coef) {
+            if c != 0.0 {
+                for (y, &qy) in x.iter_mut().zip(q) {
+                    *y -= c * qy;
+                }
+            }
+        }
+    }
+
+    /// A signed zero: `-0.0` or `0.0`.
+    fn signed_zero(rng: &mut StdRng) -> f64 {
+        if rng.random::<bool>() {
+            -0.0
+        } else {
+            0.0
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The block update through the pass's row tasks leaves every entry
+        /// with the bits of the per-vector loop: partial and whole blocks,
+        /// several row tasks, coefficients of either zero sign in random
+        /// lanes, and rows whose `-0.0` survives only while every product
+        /// subtracted from it is a zero.
+        #[test]
+        fn block_update_matches_the_per_vector_loop_bit_for_bit(
+            m in 0usize..41,
+            n in 0usize..(2 * ROW_CHUNK + 18),
+            seed in 0u64..u64::MAX,
+            zero_odds in 0u32..3,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let zero_rows: Vec<bool> = (0..n).map(|_| rng.random_range(0..8) == 0).collect();
+            let basis: Vec<Vec<f64>> = (0..m)
+                .map(|_| {
+                    zero_rows
+                        .iter()
+                        .map(|&z| if z { signed_zero(&mut rng) } else { rng.random::<f64>() - 0.5 })
+                        .collect()
+                })
+                .collect();
+            let coef: Vec<f64> = (0..m)
+                .map(|_| match zero_odds {
+                    1 if rng.random_range(0..16) == 0 => signed_zero(&mut rng),
+                    2 if rng.random::<bool>() => signed_zero(&mut rng),
+                    _ => rng.random::<f64>() - 0.5,
+                })
+                .collect();
+            let x: Vec<f64> = zero_rows
+                .iter()
+                .map(|&z| if z || rng.random_range(0..8) == 0 { -0.0 } else { rng.random::<f64>() - 0.5 })
+                .collect();
+            let mut want = x.clone();
+            subtract_per_vector(&mut want, &basis, &coef);
+            let mut got = x;
+            ParPool::new(2).for_each_chunk_mut(&mut got, ROW_CHUNK, |_, offset, chunk| {
+                subtract_projections(chunk, &basis, &coef, offset);
+            });
+            let bits = |v: &[f64]| v.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
+            prop_assert!(bits(&got) == bits(&want), "m={} n={}", m, n);
+        }
+    }
 
     #[test]
     fn path_graph_full_spectrum() {

@@ -17,13 +17,15 @@
 #   scripts/verify.sh algos   projection and eigensolver lane: the
 #                             vnet-graph, vnet-algos and vnet-spectral
 #                             unit batteries (Lanczos semi-orthogonality
-#                             included), the bit pins of every
-#                             undirected-projection consumer, the
+#                             included; vnet-spectral's also in release,
+#                             so its kernels' bit-identity proptests
+#                             check the optimized code), the bit pins of
+#                             every undirected-projection consumer, the
 #                             brute-force reference proptests (the
 #                             dense-Jacobi Lanczos reference among them),
 #                             the release-profile default-tier eigen
-#                             fidelity test, and the algos/spectral/core
-#                             clippy wall (no unwrap)
+#                             fidelity test and bit pin, and the
+#                             algos/spectral/core clippy wall (no unwrap)
 #   scripts/verify.sh powerlaw
 #                             power-law lane: the vnet-stats and
 #                             vnet-powerlaw unit batteries, the bit pins
@@ -60,8 +62,9 @@
 #                             battery, the planted-workload detection
 #                             battery (recall >= 0.9 floor, thread-count
 #                             byte-invariance, label round-trip), the
-#                             detect wire battery, and the detect-scoped
-#                             clippy wall
+#                             detect wire battery (with the elite_core
+#                             refusal on a sybil shard), and the
+#                             detect-scoped clippy wall
 #   scripts/verify.sh         tier-1: release build + full quiet test suite
 #   scripts/verify.sh full    tier-1 plus the algos, powerlaw, serve,
 #                             temporal, serve-soak, sybil, obs-bench and
@@ -104,6 +107,9 @@ par)
     ;;
 algos)
     cargo test -q -p vnet-graph -p vnet-algos -p vnet-spectral
+    # Release profile too: the bit-identity proptests of the block update
+    # and the grouped bisection check the optimized code the benchmark runs.
+    cargo test -q --release -p vnet-spectral
     cargo test -q -p vnet-integration-tests --test projection_pin
     cargo test -q -p vnet-integration-tests --test algorithm_references
     # Release profile: the default-tier eigen fit against the references
@@ -171,6 +177,8 @@ sybil)
     # ranking / P-R block across thread counts are asserted inside this
     # battery.
     cargo test -q -p vnet-integration-tests --test sybil_detection
+    # The detect wire battery, and the elite_core refusal on a sybil shard
+    # (planted accounts have no profiles: `inconsistent`, not a panic).
     cargo test -q -p vnet-integration-tests --test serve_detect
     # Detection scores run on the serve request path; same wall as the
     # rest of the hot path.

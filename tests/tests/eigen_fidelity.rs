@@ -8,13 +8,21 @@
 //! this pins what the paper's figure needs instead: the fitted exponent,
 //! the cutoff, the tail size and the converged top of the spectrum.
 //!
+//! The second test pins the current solver's bits at that tier: the
+//! `section.eigen` payload and the Lanczos work counts. The small tier's
+//! quick-preset payload is pinned in `projection_pin`; this one covers the
+//! 300-of-450-step solve the batch benchmark runs, so a kernel rewrite
+//! that claims the same bits is checked where the time is spent.
+//!
 //! Ignored by default (tier-1 runs the debug profile); `scripts/verify.sh
-//! algos` runs it in release with `--include-ignored`.
+//! algos` runs both in release with `--include-ignored`.
 
 use verified_net::{
     run_analysis_section, AnalysisCtx, AnalysisOptions, Dataset, Section, SectionReport,
     SynthesisConfig,
 };
+use vnet_obs::{fingerprint_str, Obs};
+use vnet_par::ParPool;
 
 /// α ≈ 2.7504917957.
 const ALPHA_BITS: u64 = 0x4006_0101_d7b4_b02e;
@@ -33,6 +41,17 @@ const TOP10_BITS: [u64; 10] = [
     0x40ad_5807_6cb5_1720,
     0x40aa_a608_8fad_bd54,
     0x40a7_8c1e_8df0_4876,
+];
+
+/// FNV-1a of the default-tier `section.eigen` JSON, as `projection_pin`
+/// computes its pins.
+const SECTION_EIGEN: u64 = 0x6b5f_86de_1a11_ffa3;
+/// The Lanczos work of that section: operator applications, removed
+/// projections and swept steps.
+const LANCZOS_WORK: [(&str, u64); 3] = [
+    ("algo.lanczos.matvecs", 450),
+    ("algo.lanczos.reorth_projections", 38_427),
+    ("algo.lanczos.sweeps", 158),
 ];
 
 fn relative(got: f64, want: f64) -> f64 {
@@ -56,5 +75,21 @@ fn default_tier_eigen_fit_matches_the_full_reorthogonalization_reference() {
     for (rank, (&got, &bits)) in report.eigenvalues.iter().zip(&TOP10_BITS).enumerate() {
         let want = f64::from_bits(bits);
         assert!(relative(got, want) <= 1e-12, "λ_{}: {got} vs {want}", rank + 1);
+    }
+}
+
+#[test]
+#[ignore = "default-tier build and 450-step Lanczos; run via scripts/verify.sh algos"]
+fn default_tier_eigen_section_bits_and_lanczos_work_are_pinned() {
+    let ds = Dataset::build(&SynthesisConfig::default(), &AnalysisCtx::with_threads(2));
+    let obs = Obs::new();
+    let ctx = AnalysisCtx::from_obs(ParPool::new(2), &obs);
+    let report = run_analysis_section(&ds, Section::Eigen, &AnalysisOptions::default(), &ctx)
+        .expect("eigen section runs");
+    let json = serde_json::to_string(&report).expect("section serializes");
+    let got = fingerprint_str(&json);
+    assert_eq!(got, SECTION_EIGEN, "section.eigen {got:#018x}");
+    for (name, want) in LANCZOS_WORK {
+        assert_eq!(obs.metrics().counter(name, &[]), want, "{name}");
     }
 }

@@ -120,3 +120,26 @@ fn detect_round_trip_day_awareness_and_errors() {
     handle.shutdown();
     handle.join();
 }
+
+#[test]
+fn elite_core_on_a_sybil_shard_is_refused_and_the_connection_lives_on() {
+    // The planted accounts are graph nodes without profiles, and the
+    // elite-core section reads one profile per node: the shard answers
+    // `inconsistent` instead of panicking on its worker.
+    let handle = Server::start(ServerConfig::default()).expect("bind loopback server");
+    let mut c = LineClient::connect(handle.local_addr());
+    let reg = c.req(
+        r#"{"v":1,"cmd":"register","name":"adv","scale":"small","churn_days":3,"sybil":true}"#,
+    );
+    assert_eq!(json(&reg)["ok"].as_bool(), Some(true), "register failed: {reg}");
+
+    let refused = c.req(r#"{"v":1,"cmd":"analyze","snapshot":"adv","sections":["elite_core"]}"#);
+    assert_eq!(error_code(&refused), "inconsistent", "got: {refused}");
+    assert!(refused.contains("elite_core"), "error should name the section: {refused}");
+
+    let next = c.req(r#"{"v":1,"cmd":"analyze","snapshot":"adv","sections":["reciprocity"]}"#);
+    assert_eq!(json(&next)["ok"].as_bool(), Some(true), "next request failed: {next}");
+
+    handle.shutdown();
+    handle.join();
+}
