@@ -396,6 +396,9 @@ fn main() {
     let mut readers = Vec::with_capacity(load.conns);
     for _ in 0..load.conns {
         let stream = TcpStream::connect(addr).expect("connect to loopback server");
+        // Pipelined writes: with Nagle on, a request written while the
+        // previous one is unacknowledged waits for the server's delayed ACK.
+        stream.set_nodelay(true).expect("set TCP_NODELAY");
         let (tx, rx) = mpsc::channel::<Expect>();
         let read_half = stream.try_clone().expect("clone stream");
         let oracle = Arc::clone(&oracle);

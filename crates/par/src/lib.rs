@@ -2,8 +2,9 @@
 
 //! # vnet-par — deterministic fork-join parallelism
 //!
-//! A zero-external-dependency parallel execution layer on
-//! [`std::thread::scope`] for the `verified-net` workspace. The heavy
+//! A zero-external-dependency parallel execution layer, over parked
+//! helper threads shared by the whole process, for the `verified-net`
+//! workspace. The heavy
 //! stages of the paper reproduction — the semiparametric bootstrap
 //! goodness-of-fit test, pivot-sampled Brandes betweenness, BFS distance
 //! sampling, and the Lanczos / PageRank matrix-vector inner loops — all
@@ -19,7 +20,7 @@
 //! 1. **Static chunking.** Work is decomposed into tasks by a *fixed*
 //!    chunk size chosen per call site — never by dividing the input across
 //!    however many threads happen to exist. The task list is therefore
-//!    identical at any thread count; threads only change which worker
+//!    identical at any thread count; threads only change which thread
 //!    executes a task.
 //! 2. **Ordered reduction.** Task results are folded strictly in task
 //!    order (task 0, then task 1, …), regardless of completion order.
@@ -33,10 +34,14 @@
 //!    is independent of how many tasks ran before it on the same thread.
 //!
 //! The scheduler is *steal-free*: task `i` is statically assigned to
-//! worker `i % workers` and no rebalancing ever occurs. [`ParStats`]
-//! reports `steal_free_chunks == tasks` as a pinned invariant — if a
-//! future dynamic scheduler is introduced, the divergence will show up in
-//! every run manifest that records these counters.
+//! lane `i % lanes`, a lane runs its tasks in task order, and no task ever
+//! moves to another lane. Lane 0 runs on the caller; each other lane is
+//! claimed whole by the first thread to reach it, a parked helper or the
+//! caller once its own lane is done, so which thread runs a lane never
+//! changes what the lane computes. [`ParStats`] reports
+//! `steal_free_chunks == tasks` as a pinned invariant — if a future
+//! dynamic scheduler is introduced, the divergence will show up in every
+//! run manifest that records these counters.
 //!
 //! ## Example
 //!

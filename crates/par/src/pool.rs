@@ -1,6 +1,11 @@
 //! The deterministic fork-join pool.
 
+use std::any::Any;
 use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::{self, Thread};
 
 /// Work counters from one fork-join call, for observability manifests.
 ///
@@ -11,12 +16,12 @@ use std::ops::Range;
 pub struct ParStats {
     /// Tasks (chunks) the call was decomposed into.
     pub tasks: u64,
-    /// Tasks executed on their statically assigned worker. The pool never
-    /// steals, so this always equals [`tasks`](Self::tasks) — the counter
-    /// exists as a pinned invariant: a future dynamic scheduler would make
-    /// the two diverge in every recorded manifest.
+    /// Tasks executed in their statically assigned lane. Tasks never move
+    /// between lanes, so this always equals [`tasks`](Self::tasks) — the
+    /// counter exists as a pinned invariant: a future dynamic scheduler
+    /// would make the two diverge in every recorded manifest.
     pub steal_free_chunks: u64,
-    /// Workers that actually ran (`min(threads, tasks)`).
+    /// Lanes the tasks were dealt into (`min(threads, tasks)`).
     pub workers: u64,
 }
 
@@ -38,13 +43,23 @@ impl ParStats {
     }
 }
 
-/// A deterministic fork-join pool over [`std::thread::scope`].
+/// A deterministic fork-join pool.
 ///
-/// The pool owns no threads between calls — each `map_reduce` /
-/// `for_each_chunk_mut` call spawns scoped workers and joins them before
-/// returning, so borrowing the caller's data requires no `'static` bounds
-/// and a `ParPool` is nothing but a thread-count policy. Construction is
-/// free; share it by value or reference as convenient.
+/// A call deals its tasks into `min(threads, tasks)` *lanes*: task `i` goes
+/// to lane `i % lanes`, and a lane runs its tasks in task order. Lane 0
+/// runs on the caller; the others are offered to helper threads that are
+/// shared by every pool in the process, spawned on first demand and
+/// parked between calls, so a fork costs a wake-up, not a thread spawn.
+/// Each lane is claimed whole by the first thread to reach it: once the
+/// caller has finished lane 0 it runs any lane no helper has started, so
+/// a helper the host has descheduled delays nothing it has not begun.
+/// The call returns after every lane has finished, which is what lets
+/// tasks borrow the caller's data without `'static` bounds. A panic in a
+/// task reaches the caller with its own payload, after the other lanes
+/// have finished.
+///
+/// A `ParPool` itself is nothing but a thread-count policy: construction
+/// is free, and it is shared by value or reference as convenient.
 ///
 /// See the crate docs for the determinism contract all entry points obey.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,8 +68,8 @@ pub struct ParPool {
 }
 
 impl ParPool {
-    /// A pool that uses up to `threads` OS threads per call (clamped to at
-    /// least 1).
+    /// A pool that runs up to `threads` lanes per call, the caller's
+    /// thread among them (clamped to at least 1).
     pub fn new(threads: usize) -> Self {
         Self { threads: threads.max(1) }
     }
@@ -71,11 +86,11 @@ impl ParPool {
         self.threads
     }
 
-    /// Map `task_idx ∈ 0..tasks` through `map` on the pool's workers, then
+    /// Map `task_idx ∈ 0..tasks` through `map` on the pool's lanes, then
     /// fold the results **in task order** into `init`.
     ///
-    /// The fold runs on the caller's thread after all workers join, so it
-    /// needs neither `Send` nor `Sync`; only the task results cross
+    /// The fold runs on the caller's thread after every lane has finished,
+    /// so it needs neither `Send` nor `Sync`; only the task results cross
     /// threads.
     pub fn map_reduce<T, A, M, F>(&self, tasks: usize, map: M, init: A, mut fold: F) -> (A, ParStats)
     where
@@ -85,41 +100,24 @@ impl ParPool {
     {
         let workers = self.threads.min(tasks).max(1);
         let stats = ParStats::for_schedule(tasks, workers);
+        let mut acc = init;
         if workers == 1 {
-            let mut acc = init;
             for i in 0..tasks {
                 acc = fold(acc, map(i));
             }
             return (acc, stats);
         }
-        let map = &map;
-        let mut slots: Vec<Option<T>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        // Static round-robin schedule: worker w owns tasks
-                        // w, w+workers, w+2·workers, …
-                        let mut out: Vec<(usize, T)> = Vec::new();
-                        let mut i = w;
-                        while i < tasks {
-                            out.push((i, map(i)));
-                            i += workers;
-                        }
-                        out
-                    })
-                })
-                .collect();
-            let mut slots: Vec<Option<T>> = (0..tasks).map(|_| None).collect();
-            for h in handles {
-                for (i, v) in h.join().expect("vnet-par worker panicked") {
-                    slots[i] = Some(v);
-                }
+        let slots: Vec<Mutex<Option<T>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
+        fork(workers, &|lane| {
+            for i in (lane..tasks).step_by(workers) {
+                let value = map(i);
+                *slots[i].lock().expect("a task's slot is locked only to store its value") =
+                    Some(value);
             }
-            slots
         });
-        let mut acc = init;
-        for slot in &mut slots {
-            acc = fold(acc, slot.take().expect("every task produces a value"));
+        for slot in slots {
+            let value = slot.into_inner().expect("a task's slot is locked only to store its value");
+            acc = fold(acc, value.expect("every task produces a value"));
         }
         (acc, stats)
     }
@@ -158,7 +156,7 @@ impl ParPool {
     }
 
     /// Run `f(task_idx, offset, chunk)` over disjoint `chunk_size`-sized
-    /// shards of `out` on the pool's workers.
+    /// shards of `out` on the pool's lanes.
     ///
     /// Each task owns its shard exclusively (via [`slice::chunks_mut`]),
     /// so there is no reduction step and no ordering concern: the write
@@ -170,32 +168,184 @@ impl ParPool {
         F: Fn(usize, usize, &mut [T]) + Sync,
     {
         let chunk_size = chunk_size.max(1);
-        let tasks = out.len().div_ceil(chunk_size);
-        let workers = self.threads.min(tasks).max(1);
-        let stats = ParStats::for_schedule(tasks, workers);
-        if workers == 1 {
-            for (i, chunk) in out.chunks_mut(chunk_size).enumerate() {
-                f(i, i * chunk_size, chunk);
-            }
-            return stats;
-        }
-        let mut assignments: Vec<Vec<(usize, &mut [T])>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        for (i, chunk) in out.chunks_mut(chunk_size).enumerate() {
-            assignments[i % workers].push((i, chunk));
-        }
-        let f = &f;
-        std::thread::scope(|scope| {
-            for worker in assignments {
-                scope.spawn(move || {
-                    for (i, chunk) in worker {
-                        f(i, i * chunk_size, chunk);
-                    }
-                });
-            }
-        });
+        let shards: Vec<Mutex<&mut [T]>> = out.chunks_mut(chunk_size).map(Mutex::new).collect();
+        let ((), stats) = self.map_reduce(
+            shards.len(),
+            |i| {
+                let mut shard = shards[i].lock().expect("a shard is locked by its task alone");
+                f(i, i * chunk_size, &mut shard)
+            },
+            (),
+            |(), ()| (),
+        );
         stats
     }
+}
+
+/// Runs `lane(0)` … `lane(lanes - 1)`, each exactly once, and returns when
+/// all have finished. Lane 0 runs on the caller; the others are handed to
+/// parked helpers, and the caller runs any of them no helper has claimed
+/// by the time lane 0 is done. If a lane panics, the lowest such lane's
+/// payload is resumed on the caller after every lane has finished.
+fn fork(lanes: usize, lane: &(dyn Fn(usize) + Sync)) {
+    // SAFETY: only the lifetime is erased. `lane` is called only by a
+    // thread that has claimed a lane (`Job::work`), and this function
+    // neither returns nor unwinds before every claimed lane has finished:
+    // lanes run under `catch_unwind`, the hand-offs below take locks that
+    // no panic ever holds, and the caller then waits for `pending` to reach
+    // zero. A helper that reaches the job later finds no lane to claim and
+    // never calls `lane`; its `Arc` keeps the rest of the job alive.
+    let lane: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(lane) };
+    let job = Arc::new(Job {
+        lane,
+        lanes,
+        // Lane 0 is the caller's.
+        next: AtomicUsize::new(1),
+        pending: AtomicUsize::new(lanes),
+        panic: Mutex::new(None),
+        caller: thread::current(),
+    });
+    let handed: Vec<Arc<Mailbox>> = (1..lanes)
+        .filter_map(|_| {
+            let idle = IDLE.lock().expect("the idle list is never held across a panic").pop();
+            match idle {
+                Some(mailbox) => {
+                    mailbox.hand(Arc::clone(&job));
+                    Some(mailbox)
+                }
+                None => {
+                    spawn_helper(Arc::clone(&job));
+                    None
+                }
+            }
+        })
+        .collect();
+    job.run(0);
+    job.count_off(1 + job.work());
+    while job.pending.load(Ordering::Acquire) != 0 {
+        thread::park();
+    }
+    // A helper that has not woken yet gets no lane from this job: take the
+    // job back and return the helper to the idle list, so the next fork
+    // wakes it instead of spawning another.
+    for mailbox in handed {
+        if mailbox.take_back(&job) {
+            IDLE.lock().expect("the idle list is never held across a panic").push(mailbox);
+        }
+    }
+    let panic = job.panic.lock().expect("a lane's payload is stored under no other lock").take();
+    if let Some((_, payload)) = panic {
+        panic::resume_unwind(payload);
+    }
+}
+
+/// One fork's shared state. Helpers hold it by `Arc`, so one that arrives
+/// after the caller has returned still reads live counters.
+struct Job {
+    /// The lane body; see `fork` for why its erased lifetime is sound.
+    lane: &'static (dyn Fn(usize) + Sync),
+    lanes: usize,
+    /// The lowest lane nobody has claimed yet.
+    next: AtomicUsize,
+    /// Lanes that have not been counted off as finished.
+    pending: AtomicUsize,
+    /// The lowest panicking lane and its payload.
+    panic: Mutex<Option<(usize, Box<dyn Any + Send>)>>,
+    caller: Thread,
+}
+
+impl Job {
+    /// Claims and runs lanes until none is left unclaimed, and returns how
+    /// many it ran. They are counted off by the caller of this method.
+    fn work(&self) -> usize {
+        let mut ran = 0;
+        loop {
+            // Relaxed: the claim only has to be unique. The lane's inputs
+            // reached this thread through the hand-off, and its outputs
+            // reach the caller through `pending`.
+            let lane = self.next.fetch_add(1, Ordering::Relaxed);
+            if lane >= self.lanes {
+                return ran;
+            }
+            self.run(lane);
+            ran += 1;
+        }
+    }
+
+    fn run(&self, lane: usize) {
+        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| (self.lane)(lane))) {
+            let mut first =
+                self.panic.lock().expect("a lane's payload is stored under no other lock");
+            if first.as_ref().is_none_or(|&(seen, _)| lane < seen) {
+                *first = Some((lane, payload));
+            }
+        }
+    }
+
+    /// Counts off `ran` finished lanes, and wakes the caller after the last.
+    fn count_off(&self, ran: usize) {
+        // Release: the lanes' writes happen before the caller's Acquire
+        // load that sees zero, through the decrements' release sequence.
+        if ran > 0 && self.pending.fetch_sub(ran, Ordering::Release) == ran {
+            self.caller.unpark();
+        }
+    }
+}
+
+/// The mailboxes of parked helpers, the most recently parked last.
+static IDLE: Mutex<Vec<Arc<Mailbox>>> = Mutex::new(Vec::new());
+
+/// Where a parked helper waits for its next job.
+#[derive(Default)]
+struct Mailbox {
+    job: Mutex<Option<Arc<Job>>>,
+    handed: Condvar,
+}
+
+impl Mailbox {
+    fn hand(&self, job: Arc<Job>) {
+        *self.job.lock().expect("a mailbox is never held across a panic") = Some(job);
+        self.handed.notify_one();
+    }
+
+    /// Takes `job` back if the helper has not taken it yet.
+    fn take_back(&self, job: &Arc<Job>) -> bool {
+        let mut slot = self.job.lock().expect("a mailbox is never held across a panic");
+        slot.take_if(|handed| Arc::ptr_eq(handed, job)).is_some()
+    }
+
+    fn wait(&self) -> Arc<Job> {
+        let mut slot = self.job.lock().expect("a mailbox is never held across a panic");
+        loop {
+            if let Some(job) = slot.take() {
+                return job;
+            }
+            slot = self.handed.wait(slot).expect("a mailbox is never held across a panic");
+        }
+    }
+}
+
+/// Starts a helper whose first job is `job`.
+fn spawn_helper(job: Arc<Job>) {
+    // The handle is dropped: a helper lives as long as the process, and
+    // its lanes' panics reach their callers through the job. A helper that
+    // cannot be started leaves its lane unclaimed, and the caller runs it
+    // after lane 0.
+    let _ = thread::Builder::new().name("vnet-par".into()).spawn(move || {
+        let mailbox = Arc::new(Mailbox::default());
+        let mut job = job;
+        loop {
+            let ran = job.work();
+            // Back on the idle list before its lanes count off, so the
+            // caller's next fork finds this helper idle.
+            IDLE.lock()
+                .expect("the idle list is never held across a panic")
+                .push(Arc::clone(&mailbox));
+            job.count_off(ran);
+            drop(job);
+            job = mailbox.wait();
+        }
+    });
 }
 
 #[cfg(test)]
@@ -203,10 +353,28 @@ mod tests {
     use super::*;
     use crate::StreamRng;
     use rand::Rng;
+    use std::sync::Barrier;
 
     /// The thread counts every determinism test sweeps (mirrors the
     /// integration battery).
     const SWEEP: [usize; 4] = [1, 2, 4, 7];
+
+    /// Non-associative fold: per-task random f64s summed in task order.
+    /// Returns the sum's bits.
+    fn float_sum(pool: &ParPool, seed: u64) -> u64 {
+        pool.map_reduce(
+            101,
+            |i| StreamRng::split(seed, i as u64).random::<f64>() - 0.5,
+            0.0f64,
+            |acc, x| acc + x,
+        )
+        .0
+        .to_bits()
+    }
+
+    /// A panic payload no library code raises.
+    #[derive(Debug, PartialEq)]
+    struct Boom(usize);
 
     #[test]
     fn threads_clamped_to_one() {
@@ -236,20 +404,115 @@ mod tests {
 
     #[test]
     fn float_reduction_bit_identical_across_thread_counts() {
-        // Non-associative fold: per-task random f64s summed in task order.
-        let run = |threads: usize| {
-            ParPool::new(threads)
-                .map_reduce(
-                    101,
-                    |i| StreamRng::split(99, i as u64).random::<f64>() - 0.5,
-                    0.0f64,
-                    |acc, x| acc + x,
-                )
-                .0
-        };
-        let reference = run(1);
+        let reference = float_sum(&ParPool::serial(), 99);
         for &t in &SWEEP[1..] {
-            assert_eq!(reference.to_bits(), run(t).to_bits(), "threads={t}");
+            assert_eq!(reference, float_sum(&ParPool::new(t), 99), "threads={t}");
+        }
+    }
+
+    #[test]
+    fn a_task_panic_reaches_the_caller_with_its_own_payload() {
+        for threads in [2, 4] {
+            let pool = ParPool::new(threads);
+            // Task `threads + 1` is dealt to lane 1, behind a task that
+            // does not panic.
+            let bad = threads + 1;
+            let mapped = panic::catch_unwind(|| {
+                pool.map_reduce(
+                    4 * threads,
+                    |i| {
+                        if i == bad {
+                            panic::panic_any(Boom(i));
+                        }
+                        i
+                    },
+                    0,
+                    |a, b| a + b,
+                )
+            });
+            let payload = mapped.expect_err("a task panicked");
+            assert_eq!(
+                payload.downcast_ref::<Boom>(),
+                Some(&Boom(bad)),
+                "map_reduce, threads={threads}"
+            );
+            assert_eq!(float_sum(&pool, 7), float_sum(&ParPool::serial(), 7), "threads={threads}");
+
+            let mut out = vec![0usize; 4 * threads * 8];
+            let written = panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.for_each_chunk_mut(&mut out, 8, |task, offset, chunk| {
+                    if task == bad {
+                        panic::panic_any(Boom(task));
+                    }
+                    for (k, slot) in chunk.iter_mut().enumerate() {
+                        *slot = offset + k;
+                    }
+                })
+            }));
+            let payload = written.expect_err("a task panicked");
+            assert_eq!(
+                payload.downcast_ref::<Boom>(),
+                Some(&Boom(bad)),
+                "for_each_chunk_mut, threads={threads}"
+            );
+            assert_eq!(float_sum(&pool, 8), float_sum(&ParPool::serial(), 8), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn nested_forks_match_serial_bits() {
+        // Each of 4 outer tasks runs a 3-task float reduction on the same
+        // pool, from whichever thread runs its lane.
+        let run = |pool: ParPool| {
+            pool.map_reduce(
+                4,
+                |outer| {
+                    pool.map_reduce_chunks(
+                        150,
+                        50,
+                        |_, rows| {
+                            rows.map(|r| StreamRng::split(outer as u64, r as u64).random::<f64>())
+                                .fold(0.0f64, |acc, x| acc + x - 0.5)
+                        },
+                        0.0f64,
+                        |acc, x| acc + x,
+                    )
+                    .0
+                },
+                0.0f64,
+                |acc, x| acc * 1.5 + x,
+            )
+            .0
+            .to_bits()
+        };
+        let reference = run(ParPool::serial());
+        for &t in &SWEEP {
+            assert_eq!(run(ParPool::new(t)), reference, "threads={t}");
+        }
+    }
+
+    #[test]
+    fn concurrent_callers_get_serial_bits() {
+        let start = Arc::new(Barrier::new(4));
+        let callers: Vec<_> = (0..4u64)
+            .map(|caller| {
+                let start = Arc::clone(&start);
+                thread::spawn(move || {
+                    start.wait();
+                    let pool = ParPool::new(3);
+                    for round in 0..100 {
+                        let seed = caller * 1_000 + round;
+                        assert_eq!(
+                            float_sum(&pool, seed),
+                            float_sum(&ParPool::serial(), seed),
+                            "caller {caller}, round {round}"
+                        );
+                    }
+                })
+            })
+            .collect();
+        for caller in callers {
+            caller.join().expect("a caller's reductions match serial");
         }
     }
 

@@ -31,11 +31,18 @@
 //! instead of once per vector. Per row these are the operations of one
 //! pass per vector, in the same order, so the bits are those too.
 //!
-//! The iteration fans out only from 65,536 rows up. A smaller operator
-//! runs every matvec and sweep on the caller's thread, through the same
-//! row tasks in the same order. At that size each of them is a few
-//! milliseconds of work, and forking hundreds of them per call made the
-//! wall swing with the host's load instead of shrinking it.
+//! Every matvec and sweep runs on the context's pool. At the default tier
+//! (n 18,062: five row tasks, 450 matvecs and 158 sweeps, about a
+//! thousand forks of a few milliseconds each per call) a 2-core host ran
+//! `lanczos_topk` in 1.09–1.33 s on one thread and 0.68–0.71 s on two
+//! while idle, and in 1.12–1.20 s against 0.89–1.21 s while another
+//! process kept one core busy (three runs each). A fork wakes parked
+//! helpers rather than spawning threads, and the caller runs any lane a
+//! helper has not started, so a busy core costs the pooled iteration
+//! about what it costs the serial one. A core taken from under a helper
+//! that has started its lane is another matter: the caller waits for the
+//! lane. While the host's other tenants took about a tenth of its cycles,
+//! two threads took 1.8–2.4 s against 1.7–1.9 s on one.
 
 use std::f64::consts::FRAC_1_SQRT_2;
 use std::ops::Range;
@@ -62,15 +69,6 @@ const DOT_BLOCK: usize = 8;
 /// Below this residual norm the Krylov space is exhausted.
 const RESTART_TOL: f64 = 1e-12;
 
-/// Operators with fewer rows run the whole iteration on the caller's
-/// thread. At the default tier (n 18,062: 5 row tasks, 450 matvecs and
-/// ~160 two-phase sweeps per call) the pooled Lanczos took 1.3 s against
-/// 1.7 s on an idle 2-core host, but 2.0–2.8 s against 2.0–2.3 s while one
-/// other thread kept a core busy: each fork, a few milliseconds of work,
-/// waited for whichever worker the host had descheduled. From 16 tasks up
-/// each fork carries at least 3.6× the default tier's work.
-const POOL_MIN_ROWS: usize = 16 * ROW_CHUNK;
-
 /// Approximate the largest `k` eigenvalues of the Laplacian with `steps`
 /// Lanczos iterations (partial reorthogonalization), returned in
 /// *descending* order.
@@ -87,12 +85,12 @@ const POOL_MIN_ROWS: usize = 16 * ROW_CHUNK;
 /// the spectrum, about a third of the steps on the follow graphs here.
 /// Only the `k` kept Ritz values are bisected.
 ///
-/// The canonical context-taking entrypoint: on operators of at least
-/// 65,536 rows the operator application (see
-/// [`SymLaplacian::matvec_into_pool`]) and the sweeps fan out over the
-/// context's pool; smaller ones run on the caller's thread (see the module
-/// docs). Either way the row tasks' layout depends on `n` alone and every
-/// reduction runs in a fixed order, so the Ritz values are **bitwise
+/// The canonical context-taking entrypoint: the operator application (see
+/// [`SymLaplacian::matvec_into_pool`]) and the sweeps run on the context's
+/// pool in `ROW_CHUNK`-row tasks, so an operator of at most 4,096 rows is
+/// one task and runs on the caller's thread (see the module docs for the
+/// default tier's walls). The row tasks' layout depends on `n` alone and
+/// every reduction runs in a fixed order, so the Ritz values are **bitwise
 /// identical** at any thread count. Work counters
 /// (`algo.lanczos.*`), par accounting (stage `lanczos`) and the walls of
 /// the matvecs, the reorthogonalization and the tridiagonal solve (stages
@@ -107,7 +105,7 @@ pub fn lanczos_topk<R: Rng + ?Sized>(
 ) -> Vec<f64> {
     let started = Instant::now();
     let m = if k == 0 { 0 } else { steps.max(k).min(op.dim()) };
-    let mut run = krylov(op, m, rng, &iteration_pool(op.dim(), ctx), ctx.scratch());
+    let mut run = krylov(op, m, rng, ctx.pool(), ctx.scratch());
     // Recycle the basis; the bounded arena keeps what fits.
     for q in run.basis.drain(..) {
         ctx.scratch().put_f64(q);
@@ -139,16 +137,6 @@ pub fn lanczos_topk<R: Rng + ?Sized>(
         ctx.observe_par_wall(stage, wall.as_micros() as u64);
     }
     ev
-}
-
-/// The pool an `n`-row iteration runs on: the context's from
-/// `POOL_MIN_ROWS` up, the caller's thread below.
-fn iteration_pool(n: usize, ctx: &AnalysisCtx) -> ParPool {
-    if n >= POOL_MIN_ROWS {
-        *ctx.pool()
-    } else {
-        ParPool::serial()
-    }
 }
 
 /// Work counters from a Lanczos run, for observability manifests.
@@ -626,17 +614,21 @@ mod tests {
         assert!(ev[3].abs() < 1e-6);
     }
 
-    #[test]
-    fn pool_ritz_values_bitwise_equal_serial_across_thread_counts() {
-        // Three row tasks per matvec and per sweep pass, so the sweeps'
-        // coefficient shares really are summed across tasks. Equal bits of
-        // T mean equal Ritz values.
+    /// An operator of three row tasks per matvec and per sweep pass, so
+    /// the sweeps' coefficient shares really are summed across tasks.
+    fn three_task_operator() -> SymLaplacian {
         let n = 2 * ROW_CHUNK as u32 + 1_000;
         let edges: Vec<(u32, u32)> = (0..n)
             .flat_map(|i| [(i, (i * 17 + 3) % n), (i, (i + 1) % n), (i, (i * i + 7) % n)])
             .filter(|(a, b)| a != b)
             .collect();
-        let l = SymLaplacian::from_digraph(&from_edges(n, &edges).unwrap());
+        SymLaplacian::from_digraph(&from_edges(n, &edges).unwrap())
+    }
+
+    #[test]
+    fn pool_ritz_values_bitwise_equal_serial_across_thread_counts() {
+        // Equal bits of T mean equal Ritz values.
+        let l = three_task_operator();
         let run = |threads: usize| {
             let mut rng = StdRng::seed_from_u64(11);
             let t = krylov(&l, 80, &mut rng, &ParPool::new(threads), &ScratchArena::new());
@@ -651,11 +643,30 @@ mod tests {
     }
 
     #[test]
-    fn only_operators_of_sixteen_row_tasks_fan_out() {
-        let ctx = AnalysisCtx::with_threads(4);
-        assert_eq!(iteration_pool(POOL_MIN_ROWS - 1, &ctx).threads(), 1);
-        assert_eq!(iteration_pool(POOL_MIN_ROWS, &ctx).threads(), 4);
-        assert_eq!(iteration_pool(POOL_MIN_ROWS, &AnalysisCtx::quiet()).threads(), 1);
+    fn lanczos_topk_runs_on_the_context_pool_with_serial_bits_and_counts() {
+        let l = three_task_operator();
+        let run = |threads: usize| {
+            let obs = vnet_obs::Obs::new();
+            let ctx = AnalysisCtx::from_obs(ParPool::new(threads), &obs);
+            let mut rng = StdRng::seed_from_u64(11);
+            let ritz: Vec<u64> =
+                lanczos_topk(&l, 20, 80, &mut rng, &ctx).iter().map(|x| x.to_bits()).collect();
+            let metrics = obs.metrics();
+            let work = [
+                "algo.lanczos.matvecs",
+                "algo.lanczos.reorth_projections",
+                "algo.lanczos.sweeps",
+            ]
+            .map(|name| metrics.counter(name, &[]));
+            (ritz, work, metrics.counter("par.tasks", &[("stage", "lanczos")]))
+        };
+        let reference = run(1);
+        assert_eq!(reference.0.len(), 20);
+        assert!(reference.1[2] > 0, "no sweep to compare");
+        assert!(reference.2 > 80, "par.tasks {}", reference.2);
+        for threads in [2, 4, 7] {
+            assert_eq!(run(threads), reference, "threads={threads}");
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   a matrix-free operator (only `L·x` is ever formed).
 //! * [`lanczos_topk`] — Lanczos iteration with partial reorthogonalization
 //!   (Simon's orthogonality estimate; classical Gram–Schmidt sweeps only
-//!   when it passes √ε; the pool is used from 65,536 rows up) and a
+//!   when it passes √ε; matvecs and sweeps run on the context's pool) and a
 //!   Sturm-sequence tridiagonal eigensolver
 //!   that bisects only the kept values; the workhorse for extracting the
 //!   top-k eigenvalues at scale.

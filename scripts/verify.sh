@@ -12,8 +12,12 @@
 #                             obs_overhead regression gate (sharded
 #                             telemetry must beat the global-mutex
 #                             registry at >= 2 recording threads)
-#   scripts/verify.sh par     parallelism lane: vnet-par unit tests + the
-#                             cross-thread-count determinism battery
+#   scripts/verify.sh par     parallelism lane: vnet-par unit tests, in
+#                             debug and again in release (the fork path's
+#                             panic, nested-fork and concurrent-caller
+#                             tests on optimized code), the
+#                             cross-thread-count determinism battery, and
+#                             the par-scoped clippy wall (no unwrap)
 #   scripts/verify.sh algos   projection and eigensolver lane: the
 #                             vnet-graph, vnet-algos and vnet-spectral
 #                             unit batteries (Lanczos semi-orthogonality
@@ -66,7 +70,7 @@
 #                             refusal on a sybil shard), and the
 #                             detect-scoped clippy wall
 #   scripts/verify.sh         tier-1: release build + full quiet test suite
-#   scripts/verify.sh full    tier-1 plus the algos, powerlaw, serve,
+#   scripts/verify.sh full    tier-1 plus the par, algos, powerlaw, serve,
 #                             temporal, serve-soak, sybil, obs-bench and
 #                             graph-scale lanes,
 #                             workspace clippy and rustdoc with warnings
@@ -78,8 +82,10 @@
 #                             loop, rate window, undirected merge or
 #                             sorted intersection; no newline written on
 #                             its own after a wire line; no whole-dataset
-#                             hash or base-dataset clone in serve, and no
-#                             FNV-1a outside vnet-obs)
+#                             hash or base-dataset clone in serve, no
+#                             FNV-1a outside vnet-obs, no per-call thread
+#                             spawn in vnet-par and no row threshold on
+#                             the Lanczos pool)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -103,7 +109,13 @@ obs-bench)
     ;;
 par)
     cargo test -q -p vnet-par
+    # Release profile too: the fork path's panic, nested-fork and
+    # concurrent-caller tests check the optimized code every stage runs.
+    cargo test -q --release -p vnet-par
     cargo test -q -p vnet-integration-tests --test par_determinism
+    # Every analysis stage forks through this crate, on serve worker
+    # threads too; it holds the same no-unwrap wall as the serve crate.
+    cargo clippy -p vnet-par --no-deps -- -D warnings -D clippy::unwrap_used
     ;;
 algos)
     cargo test -q -p vnet-graph -p vnet-algos -p vnet-spectral
@@ -191,6 +203,7 @@ tier1)
 full)
     cargo build --release
     cargo test -q
+    "$0" par
     "$0" algos
     "$0" powerlaw
     "$0" serve
@@ -261,6 +274,14 @@ full)
         | grep -v '^crates/obs/src/'; then
         echo "error: an FNV-1a offset basis outside crates/obs/src/" >&2
         echo "       (hash through vnet_obs::{Fnv1a, fingerprint_bytes, fingerprint_str})" >&2
+        exit 1
+    fi
+    # A fork wakes parked helpers instead of spawning threads, so the
+    # Lanczos iteration runs on the context's pool at every size.
+    if grep -rn --include='*.rs' -F 'std::thread::scope' crates/par/src/ \
+        || grep -rn --include='*.rs' -E 'POOL_MIN_ROWS|iteration_pool' crates/spectral/src/; then
+        echo "error: a per-call thread spawn in vnet-par, or a row threshold on the Lanczos pool" >&2
+        echo "       (fork through vnet-par's parked helpers; lanczos_topk uses ctx.pool())" >&2
         exit 1
     fi
     ;;
