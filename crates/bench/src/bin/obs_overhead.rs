@@ -7,15 +7,14 @@
 //! ```
 //!
 //! Measures the per-sample cost of counter increments and histogram
-//! observations through three backends — the global-mutex [`Registry`]
-//! path, the sharded lock-free [`Telemetry`] path, and a disabled
-//! `Obs` — at several thread counts (see [`vnet_bench::overhead`]).
-//! With `--check`, exits nonzero unless telemetry beats the registry at
-//! every thread count ≥ 2: the regression gate the `obs-bench` verify
-//! lane runs.
+//! observations written three ways — by name through an enabled
+//! [`Obs`], through an interned handle on the same kind of store, and
+//! through a disabled `Obs` — at several thread counts (see
+//! [`vnet_bench::overhead`]). With `--check`, exits nonzero unless an
+//! interned handle beats a by-name write at every thread count ≥ 2: the
+//! regression gate the `obs-bench` verify lane runs.
 //!
-//! [`Registry`]: vnet_obs::Registry
-//! [`Telemetry`]: vnet_obs::Telemetry
+//! [`Obs`]: vnet_obs::Obs
 
 use vnet_bench::overhead;
 
@@ -75,8 +74,8 @@ fn main() {
     let report = overhead::measure(config.ops, &config.threads);
     for r in &report.per_threads {
         eprintln!(
-            "  {} thread(s): counter registry {:.1} / telemetry {:.1} / disabled {:.1} ns — \
-             histogram registry {:.1} / telemetry {:.1} / disabled {:.1} ns",
+            "  {} thread(s): counter by-name {:.1} / handle {:.1} / disabled {:.1} ns — \
+             histogram by-name {:.1} / handle {:.1} / disabled {:.1} ns",
             r.threads,
             r.counter.registry_ns,
             r.counter.telemetry_ns,
@@ -88,7 +87,7 @@ fn main() {
     }
 
     let rendered = format!(
-        "{{\n  \"benchmark\": \"obs_overhead — sharded telemetry vs global-mutex registry vs disabled\",\n  \"cores\": {},\n  \"obs_overhead\": {}\n}}",
+        "{{\n  \"benchmark\": \"obs_overhead — by-name write (registry) vs interned handle (telemetry) vs disabled\",\n  \"cores\": {},\n  \"obs_overhead\": {}\n}}",
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
         overhead::render_json(&report),
     );
@@ -103,7 +102,7 @@ fn main() {
     if config.check {
         match overhead::check(&report) {
             Ok(()) => eprintln!(
-                "obs_overhead: OK — telemetry beats the registry at every thread count >= 2"
+                "obs_overhead: OK — an interned handle beats a by-name write at every thread count >= 2"
             ),
             Err(violations) => {
                 eprintln!("obs_overhead: {} violation(s):", violations.len());

@@ -528,7 +528,7 @@ fn main() {
     if opened != closed {
         failures.push(format!("leaked connections: {opened} opened, {closed} closed"));
     }
-    let stage_breakdown = stage_breakdown_json(obs.metrics());
+    let stage_breakdown = stage_breakdown_json(&obs.metrics());
 
     // The recording-overhead microbench rides along so BENCH_serve.json
     // carries the obs-on/obs-off cost next to the load numbers it

@@ -1,37 +1,39 @@
 //! Observability-overhead microbenchmark: the cost of recording one
-//! metric sample on the request hot path, across recording backends and
-//! thread counts.
+//! metric sample on the request hot path, by write path and thread
+//! count.
 //!
-//! Three backends, same workload (every thread hammers the *same*
-//! metric, the worst contention case):
+//! Three modes, same workload (every thread hammers the *same* series,
+//! the worst contention case), each on a fresh [`Obs`]:
 //!
-//! * **registry** — [`vnet_obs::Registry`] through an enabled
-//!   [`Obs`]: the pre-telemetry hot path, which formats the canonical
-//!   `name{k=v}` key and takes the global registry mutex on every
-//!   sample.
-//! * **telemetry** — a pre-registered [`Telemetry`] handle: the
-//!   sharded slab path, one relaxed `fetch_add` on the recording
-//!   thread's stripe (plus a bucket scan for histograms).
+//! * **registry** — a by-name write through an enabled [`Obs`]
+//!   (`inc` / `observe`): it formats the canonical `name{k=v}` key and
+//!   looks the series up under the store's one lock on every sample.
+//! * **telemetry** — an interned handle ([`vnet_obs::Counter`],
+//!   [`vnet_obs::Histogram`]) registered once on the same kind of store:
+//!   one relaxed `fetch_add` on the recording thread's stripe (plus a
+//!   bucket search for histograms).
 //! * **disabled** — a disabled [`Obs`]: the floor; one branch.
 //!
-//! The interesting number is the multi-thread one: the registry's mutex
-//! serializes recorders, so its per-op cost *grows* with threads while
-//! the striped slab's stays flat. [`check`] asserts exactly that
-//! ordering (telemetry cheaper than registry at every thread count ≥ 2)
-//! and is wired into the `obs-bench` verify lane.
+//! Both recording modes land in the same cells of the one metrics store;
+//! they differ only in how a write finds them. The interesting number is
+//! the multi-thread one: the lock serializes by-name writers, so their
+//! per-op cost *grows* with threads while a handle's stays flat. The
+//! JSON keys keep the mode names above, so the block recorded in
+//! `BENCH_serve.json` still reads. [`check`] asserts the ordering the
+//! handles exist for and is wired into the `obs-bench` verify lane.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-use vnet_obs::{pow2_buckets, Obs, Telemetry};
+use vnet_obs::{pow2_buckets, Obs};
 
-/// Per-op nanoseconds for one workload under the three backends.
+/// Per-op nanoseconds for one workload in the three modes.
 #[derive(Debug, Clone, Copy)]
 pub struct ModeCosts {
-    /// Enabled `Obs` → global-mutex `Registry`.
+    /// By-name write through an enabled `Obs`.
     pub registry_ns: f64,
-    /// Pre-registered sharded `Telemetry` handle.
+    /// Write through an interned handle.
     pub telemetry_ns: f64,
     /// Disabled `Obs` (recording compiled in, switched off).
     pub disabled_ns: f64,
@@ -42,7 +44,7 @@ pub struct ModeCosts {
 pub struct ThreadReport {
     /// Concurrent recording threads.
     pub threads: usize,
-    /// Counter increment (`inc` / `add(id, 1)`).
+    /// Counter increment (`Obs::inc` / `Counter::inc`).
     pub counter: ModeCosts,
     /// Histogram observation (`observe`).
     pub histogram: ModeCosts,
@@ -110,12 +112,12 @@ fn sample_value(i: u64) -> u64 {
     (i.wrapping_mul(2_654_435_761)) % 1_000_000
 }
 
-/// Measure all three backends at each of `thread_counts`.
+/// Measure all three modes at each of `thread_counts`.
 pub fn measure(ops_per_thread: u64, thread_counts: &[usize]) -> OverheadReport {
     let per_threads = thread_counts
         .iter()
         .map(|&threads| {
-            // Fresh state per backend per thread count, so no run warms
+            // A fresh store per mode per thread count, so no run warms
             // another's caches or inflates another's map.
             let enabled = Arc::new(Obs::new());
             let counter_registry = {
@@ -127,27 +129,16 @@ pub fn measure(ops_per_thread: u64, thread_counts: &[usize]) -> OverheadReport {
             let histogram_registry = {
                 let obs = Arc::clone(&enabled);
                 time_op(threads, ops_per_thread, move |i| {
-                    obs.observe("bench.hist", &[], sample_value(i) as f64);
+                    obs.observe("bench.hist", &[], sample_value(i));
                 })
             };
 
-            let telemetry = Arc::new(Telemetry::new(16));
-            let counter_id = telemetry.counter("bench.counter", &[("shard", "hot")]);
-            let hist_id =
-                telemetry.histogram("bench.hist", &[], &pow2_buckets(26));
-            let counter_telemetry = {
-                let t = Arc::clone(&telemetry);
-                time_op(threads, ops_per_thread, move |_| {
-                    t.inc(counter_id);
-                })
-            };
-            let histogram_telemetry = {
-                let t = Arc::clone(&telemetry);
-                let h = hist_id.clone();
-                time_op(threads, ops_per_thread, move |i| {
-                    t.observe(&h, sample_value(i));
-                })
-            };
+            let handles = Obs::new();
+            let counter = handles.telemetry().counter("bench.counter", &[("shard", "hot")]);
+            let histogram = handles.telemetry().histogram("bench.hist", &[], &pow2_buckets(26));
+            let counter_telemetry = time_op(threads, ops_per_thread, move |_| counter.inc());
+            let histogram_telemetry =
+                time_op(threads, ops_per_thread, move |i| histogram.observe(sample_value(i)));
 
             let disabled = Arc::new(Obs::disabled());
             // A sink the optimizer cannot elide the disabled calls into.
@@ -164,7 +155,7 @@ pub fn measure(ops_per_thread: u64, thread_counts: &[usize]) -> OverheadReport {
                 let obs = Arc::clone(&disabled);
                 let sink = Arc::clone(&sink);
                 time_op(threads, ops_per_thread, move |i| {
-                    obs.observe("bench.hist", &[], sample_value(i) as f64);
+                    obs.observe("bench.hist", &[], sample_value(i));
                     sink.store(i, Ordering::Relaxed);
                 })
             };
@@ -216,9 +207,10 @@ pub fn render_json(report: &OverheadReport) -> String {
     )
 }
 
-/// The ordering the telemetry layer exists to deliver: at two or more
-/// concurrent recorders, the sharded slab must beat the global-mutex
-/// registry for both counters and histograms. Returns every violation.
+/// The ordering interned handles exist to deliver: at two or more
+/// recording threads, a write through an interned handle must beat a
+/// by-name write, for counters and for histograms. Returns every
+/// violation.
 pub fn check(report: &OverheadReport) -> Result<(), Vec<String>> {
     let mut violations = Vec::new();
     for r in &report.per_threads {
@@ -227,13 +219,13 @@ pub fn check(report: &OverheadReport) -> Result<(), Vec<String>> {
         }
         if r.counter.telemetry_ns >= r.counter.registry_ns {
             violations.push(format!(
-                "counter at {} threads: telemetry {:.1} ns/op >= registry {:.1} ns/op",
+                "counter at {} threads: handle {:.1} ns/op >= by-name {:.1} ns/op",
                 r.threads, r.counter.telemetry_ns, r.counter.registry_ns
             ));
         }
         if r.histogram.telemetry_ns >= r.histogram.registry_ns {
             violations.push(format!(
-                "histogram at {} threads: telemetry {:.1} ns/op >= registry {:.1} ns/op",
+                "histogram at {} threads: handle {:.1} ns/op >= by-name {:.1} ns/op",
                 r.threads, r.histogram.telemetry_ns, r.histogram.registry_ns
             ));
         }

@@ -4,9 +4,11 @@
 //! with **no external dependencies** beyond the workspace's vendored
 //! serde. The layer exists to answer three questions about a run:
 //!
-//! 1. *What work happened?* — a [`Registry`] of labelled counters, gauges
-//!    and fixed-bucket histograms (per-endpoint API calls, fault counts,
-//!    backoff waits, hot-loop iteration totals).
+//! 1. *What work happened?* — one [`Telemetry`] store of labelled
+//!    counters, gauges and fixed-bucket histograms (per-endpoint API
+//!    calls, fault counts, backoff waits, hot-loop iteration totals),
+//!    written by name through [`Obs`] or through interned handles, and
+//!    read as a [`Registry`] snapshot.
 //! 2. *Where did the time go?* — a [`Tracer`] of nested spans, each
 //!    recording both simulated seconds and wall-clock nanoseconds.
 //! 3. *Was it the same run?* — a serializable [`RunManifest`] combining
@@ -32,6 +34,8 @@
 //!   view zeroes them. They exist for profiling, not for comparison.
 //! * All maps are `BTreeMap`s and label sets are sorted into the metric
 //!   key, so serialization order is canonical by construction.
+//! * Counters and histogram cells are integer sums, so a snapshot does
+//!   not depend on how many threads recorded or in which order.
 //!
 //! Golden tests pin this contract: two same-seed fault-injected crawls
 //! must produce byte-identical deterministic manifests.
@@ -40,7 +44,8 @@
 //!
 //! Instrumented code takes an `Arc<Obs>`. [`Obs::new`] records;
 //! [`Obs::disabled`] and the shared static [`Obs::noop`] turn every
-//! recording call into a cheap no-op, so library code can be instrumented
+//! recording call into a cheap no-op (it returns before a key is
+//! formatted or a lock taken), so library code can be instrumented
 //! unconditionally and callers opt in:
 //!
 //! ```
@@ -70,7 +75,7 @@ pub use manifest::{
 pub use metrics::{metric_key, HistogramSnapshot, Labels, Registry, DEFAULT_BUCKETS};
 pub use prom::{render_parts as render_prometheus_parts, render_prometheus};
 pub use report::Reporter;
-pub use telemetry::{pow2_buckets, CounterId, GaugeId, HistogramId, Telemetry};
+pub use telemetry::{pow2_buckets, Counter, Gauge, Histogram, Telemetry};
 pub use trace::{SimTimeSource, SpanGuard, SpanRecord, Tracer};
 
 /// 64-bit FNV-1a of a string — convenience over [`fingerprint_bytes`].
@@ -106,9 +111,9 @@ pub fn peak_rss_bytes() -> Option<u64> {
     }
 }
 
-/// The observability handle: one registry plus one tracer.
+/// The observability handle: one metrics store plus one tracer.
 ///
-/// `Obs` is a cheap *handle*: the registry and tracer live behind an
+/// `Obs` is a cheap *handle*: the store and tracer live behind an
 /// internal `Arc`, so [`Clone`] produces a second handle to the **same**
 /// state — records made through either clone land in the same manifest.
 /// Pipeline code shares a handle either as `Arc<Obs>` (the historical
@@ -122,12 +127,8 @@ pub struct Obs {
 
 #[derive(Debug)]
 struct ObsShared {
-    metrics: Registry,
+    telemetry: Telemetry,
     tracer: Tracer,
-    /// Hot-path recorder, attached once by layers (vnet-serve) that
-    /// record off the registry's lock; merged into `metrics` whenever a
-    /// snapshot is taken, so readers see one unified registry.
-    telemetry: OnceLock<Arc<Telemetry>>,
 }
 
 impl Obs {
@@ -135,11 +136,7 @@ impl Obs {
     pub fn new() -> Self {
         Self {
             enabled: true,
-            shared: Arc::new(ObsShared {
-                metrics: Registry::new(),
-                tracer: Tracer::new(),
-                telemetry: OnceLock::new(),
-            }),
+            shared: Arc::new(ObsShared { telemetry: Telemetry::new(), tracer: Tracer::new() }),
         }
     }
 
@@ -148,9 +145,8 @@ impl Obs {
         Self {
             enabled: false,
             shared: Arc::new(ObsShared {
-                metrics: Registry::new(),
+                telemetry: Telemetry::new(),
                 tracer: Tracer::disabled(),
-                telemetry: OnceLock::new(),
             }),
         }
     }
@@ -168,39 +164,16 @@ impl Obs {
         self.enabled
     }
 
-    /// Attach the hot-path [`Telemetry`] recorder. From here on, every
-    /// snapshot taken through this handle ([`Obs::metrics`],
-    /// [`Obs::manifest`]) first folds the recorder's touched metrics into
-    /// the registry, so readers never see the split. At most one recorder
-    /// per handle; re-attaching is a startup-wiring bug and panics.
-    pub fn attach_telemetry(&self, telemetry: Arc<Telemetry>) {
-        self.shared
-            .telemetry
-            .set(telemetry)
-            .expect("telemetry already attached to this Obs");
+    /// The metrics store, to register handles on. A handle records
+    /// whether or not this `Obs` is enabled: hot paths register theirs on
+    /// a recording handle.
+    pub fn telemetry(&self) -> &Telemetry {
+        &self.shared.telemetry
     }
 
-    /// The attached hot-path recorder, if any.
-    pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        self.shared.telemetry.get()
-    }
-
-    /// Fold the attached recorder (if any) into the registry. Called by
-    /// every snapshot path; harmless to call redundantly — the merge is
-    /// idempotent for a quiescent recorder.
-    pub fn sync_telemetry(&self) {
-        if let Some(t) = self.shared.telemetry.get() {
-            t.merge_into(&self.shared.metrics);
-        }
-    }
-
-    /// The metrics registry, with the attached telemetry (if any) merged
-    /// in. This is a snapshot-path accessor: the merge walks every
-    /// registered metric, so hot-path recording goes through
-    /// [`Telemetry`] handles or [`Obs::inc`], never through this.
-    pub fn metrics(&self) -> &Registry {
-        self.sync_telemetry();
-        &self.shared.metrics
+    /// A snapshot of every metric written so far, by name or by handle.
+    pub fn metrics(&self) -> Registry {
+        self.shared.telemetry.snapshot()
     }
 
     /// The span tracer.
@@ -215,43 +188,46 @@ impl Obs {
 
     /// Add 1 to a counter.
     pub fn inc(&self, name: &str, labels: Labels) {
-        if self.enabled {
-            self.shared.metrics.inc(name, labels);
-        }
+        self.inc_by(name, labels, 1);
     }
 
-    /// Add `by` to a counter.
+    /// Add `by` to a counter. A zero add makes the key appear.
     pub fn inc_by(&self, name: &str, labels: Labels, by: u64) {
         if self.enabled {
-            self.shared.metrics.inc_by(name, labels, by);
+            self.shared.telemetry.add(name, labels, by);
         }
     }
 
-    /// Set a counter to an absolute value.
+    /// Set a counter to an absolute value, for exporting totals kept
+    /// elsewhere (`CrawlStats`, the Lanczos work counts). It reads back
+    /// exactly, and later adds count on top of it.
     pub fn set_counter(&self, name: &str, labels: Labels, value: u64) {
         if self.enabled {
-            self.shared.metrics.set_counter(name, labels, value);
+            self.shared.telemetry.set_counter(name, labels, value);
         }
     }
 
     /// Set a gauge.
     pub fn set_gauge(&self, name: &str, labels: Labels, value: f64) {
         if self.enabled {
-            self.shared.metrics.set_gauge(name, labels, value);
+            self.shared.telemetry.set_gauge(name, labels, value);
         }
     }
 
-    /// Declare histogram bucket bounds for a metric name.
+    /// Declare the bucket bounds (non-empty, strictly ascending, finite,
+    /// non-negative) of every histogram series of `name` first observed
+    /// from here on. Histograms observed without a declaration use
+    /// [`DEFAULT_BUCKETS`].
     pub fn declare_buckets(&self, name: &str, bounds: &[f64]) {
         if self.enabled {
-            self.shared.metrics.declare_buckets(name, bounds);
+            self.shared.telemetry.declare_buckets(name, bounds);
         }
     }
 
     /// Record one histogram observation.
-    pub fn observe(&self, name: &str, labels: Labels, value: f64) {
+    pub fn observe(&self, name: &str, labels: Labels, value: u64) {
         if self.enabled {
-            self.shared.metrics.observe(name, labels, value);
+            self.shared.telemetry.observe(name, labels, value);
         }
     }
 
@@ -265,11 +241,8 @@ impl Obs {
     /// pure functions of the task decomposition — `vnet-par`'s schedule is
     /// static — so they belong in the deterministic manifest view.
     pub fn record_par_work(&self, stage: &str, tasks: u64, steal_free_chunks: u64) {
-        if self.enabled {
-            self.shared.metrics.inc_by("par.tasks", &[("stage", stage)], tasks);
-            self.shared.metrics
-                .inc_by("par.steal_free_chunks", &[("stage", stage)], steal_free_chunks);
-        }
+        self.inc_by("par.tasks", &[("stage", stage)], tasks);
+        self.inc_by("par.steal_free_chunks", &[("stage", stage)], steal_free_chunks);
     }
 
     /// Record a parallel stage's measured wall-clock into the
@@ -279,21 +252,18 @@ impl Obs {
     /// name ends in `wall_micros` are scrubbed from
     /// [`RunManifest::deterministic_view`], exactly like span wall times.
     pub fn observe_par_wall(&self, stage: &str, micros: u64) {
-        if self.enabled {
-            self.shared.metrics
-                .observe("par.stage_wall_micros", &[("stage", stage)], micros as f64);
-        }
+        self.observe("par.stage_wall_micros", &[("stage", stage)], micros);
     }
 
     /// Snapshot everything recorded so far into a [`RunManifest`].
     pub fn manifest(&self, label: &str, seed: u64) -> RunManifest {
-        self.sync_telemetry();
+        let Registry { counters, gauges, histograms } = self.metrics();
         RunManifest::from_parts(
             label,
             seed,
-            self.shared.metrics.counters(),
-            self.shared.metrics.gauges(),
-            self.shared.metrics.histograms(),
+            counters,
+            gauges,
+            histograms,
             &self.shared.tracer.spans(),
         )
     }
@@ -314,7 +284,7 @@ mod tests {
         let obs = Obs::noop();
         obs.inc("x", &[]);
         obs.set_gauge("g", &[], 1.0);
-        obs.observe("h", &[], 1.0);
+        obs.observe("h", &[], 1);
         {
             let _s = obs.span("ghost");
         }
@@ -364,26 +334,24 @@ mod tests {
     }
 
     #[test]
-    fn attached_telemetry_is_merged_into_every_snapshot() {
+    fn by_name_and_handle_writes_to_one_key_add_up() {
         let obs = Obs::new();
-        let telemetry = Arc::new(Telemetry::new(2));
-        let hits = telemetry.counter("cache.hits", &[("shard", "s")]);
-        obs.attach_telemetry(Arc::clone(&telemetry));
-        telemetry.add(hits, 5);
-        // Registry reads through the handle see the merged value …
-        assert_eq!(obs.metrics().counter("cache.hits", &[("shard", "s")]), 5);
-        telemetry.add(hits, 2);
-        // … and manifests do too, including later increments.
-        let m = obs.manifest("merged", 0);
-        assert_eq!(m.counters["cache.hits{shard=s}"], 7);
-    }
+        let hits = obs.telemetry().counter("cache.hits", &[("shard", "s")]);
+        obs.inc_by("cache.hits", &[("shard", "s")], 5);
+        hits.add(2);
+        assert_eq!(obs.metrics().counter("cache.hits", &[("shard", "s")]), 7);
 
-    #[test]
-    #[should_panic(expected = "already attached")]
-    fn double_attach_panics() {
-        let obs = Obs::new();
-        obs.attach_telemetry(Arc::new(Telemetry::new(1)));
-        obs.attach_telemetry(Arc::new(Telemetry::new(1)));
+        let total = obs.telemetry().counter("crawl.total", &[]);
+        obs.set_counter("crawl.total", &[], 40);
+        total.add(1);
+        assert_eq!(obs.metrics().counter("crawl.total", &[]), 41);
+
+        let _untouched = obs.telemetry().counter("ghost", &[]);
+        let zero = obs.telemetry().counter("zero", &[]);
+        zero.add(0);
+        let counters = obs.manifest("two writers", 0).counters;
+        assert!(!counters.contains_key("ghost"), "an untouched handle made its key");
+        assert_eq!(counters.get("zero"), Some(&0), "a zero add did not make its key");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The serializable run manifest: what a run did, in one artefact.
 //!
 //! A [`RunManifest`] captures the seed, every counter/gauge/histogram in
-//! the registry, the span tree as per-stage timings, and fingerprints of
+//! the metrics snapshot, the span tree as per-stage timings, and fingerprints of
 //! the run's outputs. Its JSON form is canonical — maps are ordered,
 //! floats round-trip — so the *deterministic view* (wall-clock fields
 //! zeroed, see [`RunManifest::deterministic_json`]) of two same-seed runs
@@ -273,7 +273,7 @@ mod tests {
         obs.inc("api.requests", &[("endpoint", "verified_ids")]);
         obs.inc_by("api.requests", &[("endpoint", "friends_ids")], 7);
         obs.set_gauge("analysis.alpha", &[], 3.24);
-        obs.observe("crawl.backoff_secs", &[], 5.0);
+        obs.observe("crawl.backoff_secs", &[], 5);
         {
             let _root = obs.span("crawl");
             let _child = obs.span("crawl.harvest");
@@ -307,7 +307,7 @@ mod tests {
         let obs = Obs::new();
         obs.observe_par_wall("bootstrap", 1234);
         obs.record_par_work("bootstrap", 40, 40);
-        obs.observe("crawl.backoff_secs", &[], 5.0);
+        obs.observe("crawl.backoff_secs", &[], 5);
         let m = obs.manifest("t", 1);
         assert!(m.histograms.keys().any(|k| k.starts_with("par.stage_wall_micros")));
         let d = m.deterministic_view();

@@ -1,16 +1,14 @@
-//! The metrics registry: labelled counters, gauges and fixed-bucket
-//! histograms.
+//! Metric keys and the [`Registry`] snapshot.
 //!
-//! All state lives behind one mutex and all keys are stored in
-//! [`BTreeMap`]s, so a snapshot of the registry is *canonically ordered*:
-//! two runs that perform the same sequence of recordings produce
-//! byte-identical serialized snapshots. Label sets are folded into the
-//! metric key as `name{k1=v1,k2=v2}` with the labels sorted by key, the
-//! same flat encoding Prometheus exposition uses, which keeps the registry
-//! free of any nested-map ordering questions.
+//! A series is named by its canonical key: the label set is folded into
+//! the name as `name{k1=v1,k2=v2}` with the labels sorted by key, the
+//! same flat encoding Prometheus exposition uses. A [`Registry`] holds
+//! every written series of the store ([`crate::Telemetry`]) under its
+//! key in [`BTreeMap`]s, so a snapshot is *canonically ordered*: two runs
+//! that make the same writes produce byte-identical serialized
+//! snapshots.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
@@ -57,176 +55,51 @@ pub struct HistogramSnapshot {
     pub counts: Vec<u64>,
     /// Total observations.
     pub count: u64,
-    /// Sum of observed values (observation-order dependent, but the
-    /// pipeline records single-threaded so the sum replays exactly).
+    /// Sum of the observed values: an integer sum, so independent of
+    /// observation order, and exact below 2⁵³.
     pub sum: f64,
 }
 
-impl HistogramSnapshot {
-    fn with_bounds(bounds: Vec<f64>) -> Self {
-        let n = bounds.len() + 1;
-        Self { bounds, counts: vec![0; n], count: 0, sum: 0.0 }
-    }
-
-    /// Index of the bucket `value` falls into (first bound `>= value`,
-    /// else the overflow slot).
-    pub fn bucket_index(bounds: &[f64], value: f64) -> usize {
-        bounds.iter().position(|&b| value <= b).unwrap_or(bounds.len())
-    }
-
-    fn observe(&mut self, value: f64) {
-        let idx = Self::bucket_index(&self.bounds, value);
-        self.counts[idx] += 1;
-        self.count += 1;
-        self.sum += value;
-    }
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Per-metric-*name* bucket bounds, consulted when a histogram key is
-    /// first observed.
-    bucket_specs: BTreeMap<String, Vec<f64>>,
-}
-
-/// The thread-safe metrics registry.
-///
-/// Every mutator is `&self`; the registry is meant to be shared behind an
-/// `Arc` across the crawl and analysis layers.
-#[derive(Debug, Default)]
+/// A snapshot of the metrics store ([`crate::Obs::metrics`]): every
+/// written series under its canonical key.
+#[derive(Debug, Clone)]
 pub struct Registry {
-    inner: Mutex<Inner>,
-}
-
-/// `Mutex::lock` treating poisoning as fatal, matching the workspace
-/// convention (a panic mid-update leaves telemetry unreliable anyway).
-fn lock(m: &Mutex<Inner>) -> std::sync::MutexGuard<'_, Inner> {
-    m.lock().expect("vnet-obs registry mutex poisoned")
+    pub(crate) counters: BTreeMap<String, u64>,
+    pub(crate) gauges: BTreeMap<String, f64>,
+    pub(crate) histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
 impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add `by` to a counter.
-    pub fn inc_by(&self, name: &str, labels: Labels, by: u64) {
-        let key = metric_key(name, labels);
-        *lock(&self.inner).counters.entry(key).or_insert(0) += by;
-    }
-
-    /// Add 1 to a counter.
-    pub fn inc(&self, name: &str, labels: Labels) {
-        self.inc_by(name, labels, 1);
-    }
-
-    /// Set a counter to an absolute value (for exporting externally
-    /// accumulated totals like `CrawlStats`).
-    pub fn set_counter(&self, name: &str, labels: Labels, value: u64) {
-        let key = metric_key(name, labels);
-        lock(&self.inner).counters.insert(key, value);
-    }
-
-    /// Set a gauge.
-    pub fn set_gauge(&self, name: &str, labels: Labels, value: f64) {
-        let key = metric_key(name, labels);
-        lock(&self.inner).gauges.insert(key, value);
-    }
-
-    /// Declare the bucket bounds for every histogram series of `name`
-    /// (bounds must be ascending). Metrics observed without a declaration
-    /// use [`DEFAULT_BUCKETS`].
-    pub fn declare_buckets(&self, name: &str, bounds: &[f64]) {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly ascending"
-        );
-        lock(&self.inner).bucket_specs.insert(name.to_string(), bounds.to_vec());
-    }
-
-    /// Record one observation into the histogram `name{labels}`.
-    ///
-    /// Non-finite values (NaN, ±∞) are **rejected deterministically**: the
-    /// observation is dropped — it lands in no bucket and contributes
-    /// nothing to `count`/`sum` — and the rejection is counted under
-    /// `obs.rejected_observations{metric=<name>}`. Before this rule a NaN
-    /// fell through `bucket_index` into the overflow bucket and poisoned
-    /// `sum` forever (NaN is absorbing under `+`), silently corrupting
-    /// every later snapshot of the series.
-    pub fn observe(&self, name: &str, labels: Labels, value: f64) {
-        if !value.is_finite() {
-            self.inc("obs.rejected_observations", &[("metric", name)]);
-            return;
-        }
-        let key = metric_key(name, labels);
-        let mut inner = lock(&self.inner);
-        if !inner.histograms.contains_key(&key) {
-            let bounds = inner
-                .bucket_specs
-                .get(name)
-                .cloned()
-                .unwrap_or_else(|| DEFAULT_BUCKETS.to_vec());
-            inner.histograms.insert(key.clone(), HistogramSnapshot::with_bounds(bounds));
-        }
-        inner.histograms.get_mut(&key).expect("inserted above").observe(value);
-    }
-
-    /// Current counter value (0 when never touched).
+    /// A counter's value (0 when never written).
     pub fn counter(&self, name: &str, labels: Labels) -> u64 {
-        let key = metric_key(name, labels);
-        lock(&self.inner).counters.get(&key).copied().unwrap_or(0)
+        self.counters.get(&metric_key(name, labels)).copied().unwrap_or(0)
     }
 
-    /// Current gauge value.
+    /// A gauge's value.
     pub fn gauge(&self, name: &str, labels: Labels) -> Option<f64> {
-        let key = metric_key(name, labels);
-        lock(&self.inner).gauges.get(&key).copied()
+        self.gauges.get(&metric_key(name, labels)).copied()
     }
 
-    /// Snapshot of all counters, canonically ordered.
+    /// Every counter, canonically ordered.
     pub fn counters(&self) -> BTreeMap<String, u64> {
-        lock(&self.inner).counters.clone()
+        self.counters.clone()
     }
 
-    /// Snapshot of all gauges, canonically ordered.
+    /// Every gauge, canonically ordered.
     pub fn gauges(&self) -> BTreeMap<String, f64> {
-        lock(&self.inner).gauges.clone()
+        self.gauges.clone()
     }
 
-    /// Snapshot of all histograms, canonically ordered.
+    /// Every histogram, canonically ordered.
     pub fn histograms(&self) -> BTreeMap<String, HistogramSnapshot> {
-        lock(&self.inner).histograms.clone()
-    }
-
-    // ---- raw key-level setters -------------------------------------
-    //
-    // The telemetry merge (`crate::telemetry`) already holds canonical
-    // keys — re-splitting them into (name, labels) just to re-join them
-    // would be wasted motion, so it writes through these.
-
-    /// Set a counter by its canonical key.
-    pub(crate) fn set_counter_key(&self, key: &str, value: u64) {
-        lock(&self.inner).counters.insert(key.to_string(), value);
-    }
-
-    /// Set a gauge by its canonical key.
-    pub(crate) fn set_gauge_key(&self, key: &str, value: f64) {
-        lock(&self.inner).gauges.insert(key.to_string(), value);
-    }
-
-    /// Replace a histogram snapshot by its canonical key.
-    pub(crate) fn set_histogram_key(&self, key: &str, snapshot: HistogramSnapshot) {
-        lock(&self.inner).histograms.insert(key.to_string(), snapshot);
+        self.histograms.clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Obs;
 
     #[test]
     fn keys_are_canonical() {
@@ -244,50 +117,52 @@ mod tests {
 
     #[test]
     fn counters_and_gauges() {
-        let r = Registry::new();
-        r.inc("calls", &[("endpoint", "a")]);
-        r.inc_by("calls", &[("endpoint", "a")], 2);
-        r.inc("calls", &[("endpoint", "b")]);
+        let obs = Obs::new();
+        obs.inc("calls", &[("endpoint", "a")]);
+        obs.inc_by("calls", &[("endpoint", "a")], 2);
+        obs.inc("calls", &[("endpoint", "b")]);
+        let r = obs.metrics();
         assert_eq!(r.counter("calls", &[("endpoint", "a")]), 3);
         assert_eq!(r.counter("calls", &[("endpoint", "b")]), 1);
         assert_eq!(r.counter("calls", &[("endpoint", "c")]), 0);
-        r.set_counter("calls", &[("endpoint", "a")], 10);
+        obs.set_counter("calls", &[("endpoint", "a")], 10);
+        obs.set_gauge("alpha", &[], 3.24);
+        let r = obs.metrics();
         assert_eq!(r.counter("calls", &[("endpoint", "a")]), 10);
-        r.set_gauge("alpha", &[], 3.24);
         assert_eq!(r.gauge("alpha", &[]), Some(3.24));
         assert_eq!(r.gauge("missing", &[]), None);
     }
 
     #[test]
     fn histogram_bucketing_is_cumulative_upper_bound() {
-        let bounds = [1.0, 5.0, 15.0];
-        assert_eq!(HistogramSnapshot::bucket_index(&bounds, 0.0), 0);
-        assert_eq!(HistogramSnapshot::bucket_index(&bounds, 1.0), 0); // <= bound
-        assert_eq!(HistogramSnapshot::bucket_index(&bounds, 1.01), 1);
-        assert_eq!(HistogramSnapshot::bucket_index(&bounds, 5.0), 1);
-        assert_eq!(HistogramSnapshot::bucket_index(&bounds, 14.0), 2);
-        assert_eq!(HistogramSnapshot::bucket_index(&bounds, 15.1), 3); // overflow
+        let obs = Obs::new();
+        obs.declare_buckets("h", &[1.0, 5.0, 15.0]);
+        // <= bound lands in that bucket; past the last bound, overflow.
+        for v in [0, 1, 2, 5, 14, 15, 16] {
+            obs.observe("h", &[], v);
+        }
+        assert_eq!(obs.metrics().histograms["h"].counts, vec![2, 2, 2, 1]);
     }
 
     #[test]
     fn histogram_observe_with_declared_buckets() {
-        let r = Registry::new();
-        r.declare_buckets("wait_secs", &[1.0, 60.0, 900.0]);
-        for v in [0.5, 30.0, 120.0, 901.0, 1_000_000.0] {
-            r.observe("wait_secs", &[("endpoint", "roster")], v);
+        let obs = Obs::new();
+        obs.declare_buckets("wait_secs", &[1.0, 60.0, 900.0]);
+        for v in [0, 30, 120, 901, 1_000_000] {
+            obs.observe("wait_secs", &[("endpoint", "roster")], v);
         }
-        let h = &r.histograms()["wait_secs{endpoint=roster}"];
+        let h = &obs.metrics().histograms["wait_secs{endpoint=roster}"];
         assert_eq!(h.bounds, vec![1.0, 60.0, 900.0]);
         assert_eq!(h.counts, vec![1, 1, 1, 2]);
         assert_eq!(h.count, 5);
-        assert!((h.sum - 1_001_051.5).abs() < 1e-9);
+        assert_eq!(h.sum, 1_001_051.0);
     }
 
     #[test]
     fn histogram_defaults_to_decade_buckets() {
-        let r = Registry::new();
-        r.observe("sizes", &[], 42.0);
-        let h = &r.histograms()["sizes"];
+        let obs = Obs::new();
+        obs.observe("sizes", &[], 42);
+        let h = &obs.metrics().histograms["sizes"];
         assert_eq!(h.bounds, DEFAULT_BUCKETS.to_vec());
         assert_eq!(h.counts[2], 1); // 42 <= 100
     }
@@ -295,40 +170,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "ascending")]
     fn unsorted_bucket_declarations_rejected() {
-        Registry::new().declare_buckets("bad", &[5.0, 1.0]);
-    }
-
-    #[test]
-    fn non_finite_observations_are_rejected_and_counted() {
-        let r = Registry::new();
-        r.observe("lat", &[("op", "x")], 5.0);
-        r.observe("lat", &[("op", "x")], f64::NAN);
-        r.observe("lat", &[("op", "x")], f64::INFINITY);
-        r.observe("lat", &[("op", "x")], f64::NEG_INFINITY);
-        let h = &r.histograms()["lat{op=x}"];
-        // Only the finite observation exists; sum is not NaN-poisoned.
-        assert_eq!(h.count, 1);
-        assert_eq!(h.counts.iter().sum::<u64>(), 1);
-        assert_eq!(h.sum, 5.0);
-        assert_eq!(r.counter("obs.rejected_observations", &[("metric", "lat")]), 3);
-    }
-
-    #[test]
-    fn rejected_first_observation_does_not_materialize_the_series() {
-        let r = Registry::new();
-        r.observe("never", &[], f64::NAN);
-        assert!(r.histograms().is_empty(), "rejected observe created a histogram");
-        assert_eq!(r.counter("obs.rejected_observations", &[("metric", "never")]), 1);
+        Obs::new().declare_buckets("bad", &[5.0, 1.0]);
     }
 
     #[test]
     fn snapshots_are_sorted() {
-        let r = Registry::new();
-        r.inc("z", &[]);
-        r.inc("a", &[]);
-        r.inc("m", &[("l", "2")]);
-        r.inc("m", &[("l", "1")]);
-        let keys: Vec<String> = r.counters().into_keys().collect();
+        let obs = Obs::new();
+        obs.inc("z", &[]);
+        obs.inc("a", &[]);
+        obs.inc("m", &[("l", "2")]);
+        obs.inc("m", &[("l", "1")]);
+        let keys: Vec<String> = obs.metrics().counters.into_keys().collect();
         assert_eq!(keys, vec!["a", "m{l=1}", "m{l=2}", "z"]);
     }
 }

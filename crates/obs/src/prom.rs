@@ -1,6 +1,6 @@
-//! Prometheus text exposition (version 0.0.4) for registry snapshots.
+//! Prometheus text exposition (version 0.0.4) for metric snapshots.
 //!
-//! The registry's canonical keys (`name{k1=v1,k2=v2}`, labels sorted)
+//! The snapshot's canonical keys (`name{k1=v1,k2=v2}`, labels sorted)
 //! are already Prometheus-shaped; this module parses them back apart,
 //! mangles names into the Prometheus charset, escapes label values, and
 //! renders families in a fixed order so the output is byte-deterministic
@@ -20,9 +20,9 @@ use std::collections::BTreeMap;
 
 use crate::metrics::{HistogramSnapshot, Registry};
 
-/// Render a registry snapshot as Prometheus text exposition.
+/// Render a metrics snapshot as Prometheus text exposition.
 pub fn render_prometheus(registry: &Registry) -> String {
-    render_parts(&registry.counters(), &registry.gauges(), &registry.histograms())
+    render_parts(&registry.counters, &registry.gauges, &registry.histograms)
 }
 
 /// Render already-snapshotted maps (the serve layer snapshots once and
@@ -196,15 +196,16 @@ fn push_bucket(out: &mut String, name: &str, base_labels: &str, le: &str, value:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Obs;
 
     #[test]
     fn counters_and_gauges_render_with_types() {
-        let r = Registry::new();
+        let r = Obs::new();
         r.inc_by("serve.requests", &[("shard", "a")], 3);
         r.inc_by("serve.requests", &[("shard", "b")], 1);
         r.inc("serve.requests", &[]);
         r.set_gauge("serve.queue_depth", &[("shard", "a")], 2.0);
-        let text = render_prometheus(&r);
+        let text = render_prometheus(&r.metrics());
         assert_eq!(
             text,
             "# TYPE serve_requests counter\n\
@@ -220,11 +221,11 @@ mod tests {
     fn family_grouping_survives_interleaved_keys() {
         // In raw BTreeMap order the unlabelled `m` and `m{shard=a}` are
         // separated by `mz` (`{` sorts after `z`): one TYPE line anyway.
-        let r = Registry::new();
+        let r = Obs::new();
         r.inc("m", &[]);
         r.inc("mz", &[]);
         r.inc("m", &[("shard", "a")]);
-        let text = render_prometheus(&r);
+        let text = render_prometheus(&r.metrics());
         assert_eq!(
             text,
             "# TYPE m counter\nm 1\nm{shard=\"a\"} 1\n# TYPE mz counter\nmz 1\n"
@@ -233,9 +234,9 @@ mod tests {
 
     #[test]
     fn label_values_are_escaped() {
-        let r = Registry::new();
+        let r = Obs::new();
         r.inc("hits", &[("snap", "we\"ird\\name")]);
-        let text = render_prometheus(&r);
+        let text = render_prometheus(&r.metrics());
         assert!(
             text.contains("hits{snap=\"we\\\"ird\\\\name\"} 1"),
             "escaping failed: {text}"
@@ -244,12 +245,15 @@ mod tests {
 
     #[test]
     fn histograms_render_cumulative_buckets() {
-        let r = Registry::new();
-        r.declare_buckets("lat", &[1.0, 10.0]);
-        for v in [0.5, 5.0, 7.0, 100.0] {
-            r.observe("lat", &[("op", "x")], v);
-        }
-        let text = render_prometheus(&r);
+        // A fractional sum, as a hand-built snapshot may carry.
+        let lat = HistogramSnapshot {
+            bounds: vec![1.0, 10.0],
+            counts: vec![1, 2, 1],
+            count: 4,
+            sum: 112.5,
+        };
+        let histograms = BTreeMap::from([("lat{op=x}".to_string(), lat)]);
+        let text = render_parts(&BTreeMap::new(), &BTreeMap::new(), &histograms);
         assert_eq!(
             text,
             "# TYPE lat histogram\n\
@@ -263,10 +267,10 @@ mod tests {
 
     #[test]
     fn unlabelled_histogram_has_bare_le_blocks() {
-        let r = Registry::new();
+        let r = Obs::new();
         r.declare_buckets("h", &[2.0]);
-        r.observe("h", &[], 1.0);
-        let text = render_prometheus(&r);
+        r.observe("h", &[], 1);
+        let text = render_prometheus(&r.metrics());
         assert_eq!(
             text,
             "# TYPE h histogram\n\

@@ -18,6 +18,7 @@ use std::time::{Duration, Instant};
 use crate::framing::{Frame, LineReader};
 use crate::protocol::json_str;
 use crate::server::{handle_line, metric_maps, Dispatch, Shared, WatchParams};
+use crate::stats::observe_since;
 
 /// How often an idle connection wakes to check the stop flag. This is the
 /// socket read timeout, not a poll of shared state: the thread sleeps in
@@ -157,10 +158,9 @@ fn run_connection(stream: TcpStream, shared: &Arc<Shared>) {
                 if write_reply(&mut writer, reply).is_err() {
                     return;
                 }
-                let stats = &shared.stats;
-                stats.observe_stage(&stats.stage_write, write_started);
+                observe_since(&shared.stats.stage_write, write_started);
                 if let Some(micros) = framing_micros {
-                    stats.telemetry.observe(&stats.stage_framing, micros);
+                    shared.stats.stage_framing.observe(micros);
                 }
             }
             // A timeout tick: partial request bytes stay buffered in the

@@ -22,7 +22,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use vnet_obs::{pow2_buckets, GaugeId, HistogramId, Obs, Telemetry};
+use vnet_obs::{Gauge, Histogram, Obs, Telemetry};
+
+use crate::stats::{observe_since, stage_histogram};
 
 /// Why a job was not admitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,32 +53,26 @@ struct QueuedJob {
 
 /// The executor's hot-path recording handles: queue-state gauges labelled
 /// with the owning shard, plus the (shard-agnostic) `queue` and `execute`
-/// stage histograms. Registered once per shard at construction —
-/// `set_depth_gauge` runs on every submit and completion, which is
-/// exactly the per-request storm the old `Obs::set_gauge` path spent
-/// formatting label strings under the registry mutex.
+/// stage histograms. Registered once per shard at construction: the
+/// gauges are set on every submit and completion, so they are handles,
+/// not by-name writes that format a key under a lock.
 pub struct ExecutorTelemetry {
-    telemetry: Arc<Telemetry>,
-    queue_depth: GaugeId,
-    jobs_running: GaugeId,
-    stage_queue: HistogramId,
-    stage_execute: HistogramId,
+    queue_depth: Gauge,
+    jobs_running: Gauge,
+    stage_queue: Histogram,
+    stage_execute: Histogram,
 }
 
 impl ExecutorTelemetry {
     /// Register this shard's executor handles on `telemetry`
-    /// (idempotent: re-registering a shard reuses the same slots).
-    pub fn new(telemetry: Arc<Telemetry>, shard: &str) -> Self {
+    /// (idempotent: re-registering a shard reuses the same series).
+    pub fn new(telemetry: &Telemetry, shard: &str) -> Self {
         let labels: &[(&str, &str)] = &[("shard", shard)];
-        let stage = |name: &str| {
-            telemetry.histogram("serve.stage_wall_micros", &[("stage", name)], &pow2_buckets(26))
-        };
         Self {
             queue_depth: telemetry.gauge("serve.queue_depth", labels),
             jobs_running: telemetry.gauge("serve.jobs_running", labels),
-            stage_queue: stage("queue"),
-            stage_execute: stage("execute"),
-            telemetry,
+            stage_queue: stage_histogram(telemetry, "queue"),
+            stage_execute: stage_histogram(telemetry, "execute"),
         }
     }
 }
@@ -156,9 +152,8 @@ struct ExecInner {
 
 impl ExecInner {
     fn set_depth_gauge(&self, state: &ExecState) {
-        let t = &self.telemetry;
-        t.telemetry.set_gauge(t.queue_depth, state.queue.len() as f64);
-        t.telemetry.set_gauge(t.jobs_running, state.running as f64);
+        self.telemetry.queue_depth.set(state.queue.len() as f64);
+        self.telemetry.jobs_running.set(state.running as f64);
     }
 }
 
@@ -320,8 +315,7 @@ fn worker_loop(inner: &ExecInner) {
                 state = inner.work_ready.wait(state).expect("executor state lock");
             }
         };
-        let t = &inner.telemetry;
-        t.telemetry.observe(&t.stage_queue, job.submitted.elapsed().as_micros() as u64);
+        observe_since(&inner.telemetry.stage_queue, job.submitted);
         let started = Instant::now();
         let token = CancelToken { shared: Arc::clone(&job.handle) };
         let run = std::panic::AssertUnwindSafe(move || (job.run)(&token));
@@ -335,7 +329,7 @@ fn worker_loop(inner: &ExecInner) {
         };
         // Recorded before the reply is handed over, so a client that has
         // its reply and then scrapes metrics finds this request's sample.
-        t.telemetry.observe(&t.stage_execute, started.elapsed().as_micros() as u64);
+        observe_since(&inner.telemetry.stage_execute, started);
         complete(&job.handle, reply);
         let mut state = inner.state.lock().expect("executor state lock");
         state.running -= 1;
@@ -351,9 +345,9 @@ mod tests {
     use super::*;
 
     fn exec(workers: usize, cap: usize) -> Executor {
-        let telemetry = Arc::new(Telemetry::new(2));
-        let exec_telemetry = ExecutorTelemetry::new(Arc::clone(&telemetry), "test");
-        Executor::new(workers, cap, Arc::new(Obs::new()), "test", exec_telemetry)
+        let obs = Arc::new(Obs::new());
+        let exec_telemetry = ExecutorTelemetry::new(obs.telemetry(), "test");
+        Executor::new(workers, cap, obs, "test", exec_telemetry)
     }
 
     #[test]

@@ -64,10 +64,10 @@
 //!
 //! ## Observability
 //!
-//! The request hot path records into a sharded lock-free
-//! [`vnet_obs::Telemetry`] slab — per-stripe atomics, no locks, no
-//! string formatting — which merges deterministically into the
-//! `Registry` that `metrics`/`manifest` read. Five wall-clock stage
+//! The request hot path records through interned handles on the
+//! server's [`vnet_obs::Telemetry`] store — per-stripe atomics, no
+//! locks, no string formatting — and cold paths write by name into the
+//! same store, which `metrics`/`manifest` snapshot. Five wall-clock stage
 //! histograms (`framing` → `admission` → `queue` → `execute` → `write`)
 //! break request latency down; their `*wall_micros` names are scrubbed
 //! from deterministic manifests. An opt-in [`SelfMonitorConfig`]

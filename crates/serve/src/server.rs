@@ -28,7 +28,7 @@ use verified_net::{
 };
 use vnet_detect::{evaluate, run_detection, DetectConfig, DetectInput};
 use vnet_graph::NodeId;
-use vnet_obs::{fingerprint_str, render_prometheus_parts, Obs, Telemetry};
+use vnet_obs::{fingerprint_str, render_prometheus_parts, Obs};
 use vnet_par::ParPool;
 use vnet_synth::{
     inject_sybil, ChurnConfig, ChurnEvent, ChurnStream, SybilConfig, SybilWorkload,
@@ -45,7 +45,7 @@ use crate::protocol::{
     error_reply, json_str, parse_request, ChurnSpec, MetricsFormat, RegisterSource, Request,
 };
 use crate::shards::{Shard, ShardRegistry, SnapshotData, SybilState, TemporalState};
-use crate::stats::ServeStats;
+use crate::stats::{observe_since, ServeStats};
 
 /// Server construction knobs.
 #[derive(Debug, Clone)]
@@ -98,11 +98,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// Telemetry stripes for the hot-path recorder: enough that the
-/// connection threads and shard workers of a default config rarely share
-/// a stripe, bounded so slab memory stays trivial.
-const TELEMETRY_STRIPES: usize = 16;
-
 pub(crate) struct Shared {
     config: ServerConfig,
     ctx: AnalysisCtx,
@@ -129,13 +124,9 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         let obs = Arc::new(Obs::new());
-        // The hot-path recorder: attached to the server's Obs so every
-        // snapshot (metrics/status/manifest/prom) sees one merged
-        // registry; recording goes through interned handles in
-        // `ServeStats` and never takes the registry lock.
-        let telemetry = Arc::new(Telemetry::new(TELEMETRY_STRIPES));
-        obs.attach_telemetry(Arc::clone(&telemetry));
-        let stats = ServeStats::new(telemetry);
+        // The hot path records through handles on the Obs's own store, so
+        // every snapshot (metrics/status/manifest/prom) reads them.
+        let stats = ServeStats::new(obs.telemetry());
         let admission = config
             .admission
             .map(|policy| Admission::new(policy, config.admission_clock.clone()));
@@ -186,9 +177,9 @@ impl ServerHandle {
         self.local_addr
     }
 
-    /// The server's observability registry (request, cache, executor and
-    /// connection counters accumulate here; snapshot it with
-    /// [`Obs::manifest`]).
+    /// The server's observability handle (request, cache, executor and
+    /// connection metrics accumulate in its store; snapshot them with
+    /// [`Obs::metrics`] or [`Obs::manifest`]).
     pub fn obs_handle(&self) -> Arc<Obs> {
         Arc::clone(&self.shared.obs)
     }
@@ -369,9 +360,7 @@ fn drain_and_stop(shared: &Shared) {
         wakeups += shard.executor.drain();
     }
     shared.obs.inc_by("serve.drain_wakeups", &[], wakeups);
-    shared
-        .obs
-        .observe("serve.drain_wall_micros", &[], started.elapsed().as_micros() as f64);
+    shared.obs.observe("serve.drain_wall_micros", &[], started.elapsed().as_micros() as u64);
     for shard in shared.shards.all() {
         shard.executor.shutdown_and_join(|| error_reply(&VnetError::ShuttingDown));
     }
@@ -398,7 +387,6 @@ fn register_snapshot(
             cache_capacity: shared.config.cache_capacity,
         },
         &shared.obs,
-        &shared.stats,
     )
 }
 
@@ -569,16 +557,16 @@ fn handle_analyze(
     // over-quota clients are turned away at the front door with a
     // deterministic retry hint, exactly like the simulated API's
     // rate-limit windows (rejections consume no quota). Recording goes
-    // through interned telemetry handles: this path runs for every
-    // analyze request, so it must not serialize on the registry mutex.
+    // through interned handles: this path runs for every analyze
+    // request, so it must not serialize on the metrics store's lock.
     if let Some(admission) = &shared.admission {
         let stats = &shared.stats;
         let admission_started = Instant::now();
         let verdict = admission.try_admit(client);
-        stats.observe_stage(&stats.stage_admission, admission_started);
+        observe_since(&stats.stage_admission, admission_started);
         if let Err(retry_after_ms) = verdict {
-            stats.telemetry.inc(stats.rejected_rate_limited);
-            stats.telemetry.observe(&stats.retry_after_ms, retry_after_ms);
+            stats.rejected_rate_limited.inc();
+            stats.retry_after_ms.observe(retry_after_ms);
             return error_reply(&VnetError::RateLimited { retry_after_ms });
         }
     }
@@ -601,17 +589,17 @@ fn handle_analyze(
     let handle = match submitted {
         Ok(h) => h,
         Err(SubmitRefusal::Saturated { in_flight, limit }) => {
-            stats.telemetry.inc(stats.rejected_queue_full);
-            stats.telemetry.inc(shard.stats.rejected_queue_full);
+            stats.rejected_queue_full.inc();
+            shard.stats.rejected_queue_full.inc();
             return error_reply(&VnetError::QueueFull { in_flight, limit });
         }
         Err(SubmitRefusal::ShuttingDown) => {
             return error_reply(&VnetError::ShuttingDown);
         }
     };
-    stats.telemetry.inc(stats.requests);
-    stats.telemetry.inc(stats.admitted);
-    stats.telemetry.inc(shard.stats.requests);
+    stats.requests.inc();
+    stats.admitted.inc();
+    shard.stats.requests.inc();
     let budget = Duration::from_millis(shared.config.request_timeout_millis);
     match handle.wait_timeout(budget) {
         Some(reply) => reply,
@@ -620,7 +608,7 @@ fn handle_analyze(
             // boundary (completed sections have already warmed the cache)
             // instead of burning CPU invisibly.
             handle.cancel();
-            shared.obs.inc_by("serve.rejected{reason=timeout}", &[], 1);
+            shared.obs.inc("serve.rejected", &[("reason", "timeout")]);
             error_reply(&VnetError::Timeout { millis: shared.config.request_timeout_millis })
         }
     }
@@ -642,27 +630,27 @@ fn section_bytes(
     let stats = &shared.stats;
     let shard_label: &[(&str, &str)] = &[("shard", &shard.name)];
     if let Some(hit) = shard.cache.lock().expect("cache lock").get(&key) {
-        stats.telemetry.inc(stats.cache_hits);
-        stats.telemetry.inc(shard.stats.hits);
+        stats.cache_hits.inc();
+        shard.stats.hits.inc();
         if key.day.is_some() {
-            stats.telemetry.inc(stats.asof_cache_hits);
+            stats.asof_cache_hits.inc();
         }
         return Ok(hit);
     }
     match shard.flights.begin(key) {
         Role::Follower(flight) => {
-            stats.telemetry.inc(stats.coalesced);
-            stats.telemetry.inc(shard.stats.coalesced);
+            stats.coalesced.inc();
+            shard.stats.coalesced.inc();
             flight.wait()
         }
         Role::Leader(guard) => {
             // Re-check under leadership: a previous leader may have
             // populated the cache between our miss and our begin().
             if let Some(hit) = shard.cache.lock().expect("cache lock").get(&key) {
-                stats.telemetry.inc(stats.cache_hits);
-                stats.telemetry.inc(shard.stats.hits);
+                stats.cache_hits.inc();
+                shard.stats.hits.inc();
                 if key.day.is_some() {
-                    stats.telemetry.inc(stats.asof_cache_hits);
+                    stats.asof_cache_hits.inc();
                 }
                 guard.publish(Ok(Arc::clone(&hit)));
                 return Ok(hit);
@@ -735,7 +723,7 @@ fn compute_reply(
             match temporal.day_data(day, base) {
                 Ok((resolved, materialized)) => {
                     if materialized {
-                        shared.stats.telemetry.inc(shared.stats.asof_materializations);
+                        shared.stats.asof_materializations.inc();
                     }
                     day_data = resolved;
                     &day_data
@@ -798,10 +786,10 @@ fn handle_detect(
         let stats = &shared.stats;
         let admission_started = Instant::now();
         let verdict = admission.try_admit(client);
-        stats.observe_stage(&stats.stage_admission, admission_started);
+        observe_since(&stats.stage_admission, admission_started);
         if let Err(retry_after_ms) = verdict {
-            stats.telemetry.inc(stats.rejected_rate_limited);
-            stats.telemetry.observe(&stats.retry_after_ms, retry_after_ms);
+            stats.rejected_rate_limited.inc();
+            stats.retry_after_ms.observe(retry_after_ms);
             return error_reply(&VnetError::RateLimited { retry_after_ms });
         }
     }
@@ -819,24 +807,24 @@ fn handle_detect(
     let handle = match submitted {
         Ok(h) => h,
         Err(SubmitRefusal::Saturated { in_flight, limit }) => {
-            stats.telemetry.inc(stats.rejected_queue_full);
-            stats.telemetry.inc(shard.stats.rejected_queue_full);
+            stats.rejected_queue_full.inc();
+            shard.stats.rejected_queue_full.inc();
             return error_reply(&VnetError::QueueFull { in_flight, limit });
         }
         Err(SubmitRefusal::ShuttingDown) => {
             return error_reply(&VnetError::ShuttingDown);
         }
     };
-    stats.telemetry.inc(stats.requests);
-    stats.telemetry.inc(stats.admitted);
-    stats.telemetry.inc(shard.stats.requests);
+    stats.requests.inc();
+    stats.admitted.inc();
+    shard.stats.requests.inc();
     shared.obs.inc_by("serve.detect_requests", &[], 1);
     let budget = Duration::from_millis(shared.config.request_timeout_millis);
     match handle.wait_timeout(budget) {
         Some(reply) => reply,
         None => {
             handle.cancel();
-            shared.obs.inc_by("serve.rejected{reason=timeout}", &[], 1);
+            shared.obs.inc("serve.rejected", &[("reason", "timeout")]);
             error_reply(&VnetError::Timeout { millis: shared.config.request_timeout_millis })
         }
     }
@@ -886,8 +874,8 @@ fn compute_detect_reply(
     };
     let cached = sybil.cache.lock().expect("detect cache lock").get(&(day, top_k));
     if let Some(hit) = cached {
-        shared.stats.telemetry.inc(shared.stats.cache_hits);
-        shared.stats.telemetry.inc(shard.stats.hits);
+        shared.stats.cache_hits.inc();
+        shard.stats.hits.inc();
         return envelope(&hit);
     }
     if cancel.is_cancelled() {
@@ -903,7 +891,7 @@ fn compute_detect_reply(
         Err(e) => return error_reply(&e),
     };
     if materialized {
-        shared.stats.telemetry.inc(shared.stats.asof_materializations);
+        shared.stats.asof_materializations.inc();
     }
     let input = DetectInput {
         graph: &data.dataset.graph,
@@ -1069,7 +1057,7 @@ fn has_shard_label(key: &str, shard: &str) -> bool {
     })
 }
 
-/// Snapshot the merged registry into counter/gauge maps, optionally
+/// Snapshot the metrics store into counter/gauge maps, optionally
 /// filtered to one shard's labelled series. Shared by the `metrics`
 /// reply and the `watch` delta stream.
 pub(crate) fn metric_maps(

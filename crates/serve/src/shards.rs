@@ -38,7 +38,7 @@ use vnet_temporal::Timeline;
 use crate::cache::{CacheKey, CachedSection, Lru};
 use crate::executor::{Executor, ExecutorTelemetry};
 use crate::flight::FlightMap;
-use crate::stats::{ServeStats, ShardStats};
+use crate::stats::ShardStats;
 
 /// Materialized day-graphs kept hot per temporal shard. Small on purpose:
 /// each entry is a full CSR + profiles clone; the section cache above it
@@ -184,22 +184,22 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    fn new(
-        name: &str,
-        data: Arc<SnapshotData>,
-        limits: ShardLimits,
-        obs: Arc<Obs>,
-        stats: &ServeStats,
-    ) -> Self {
-        let exec_telemetry = ExecutorTelemetry::new(Arc::clone(&stats.telemetry), name);
+    fn new(name: &str, data: Arc<SnapshotData>, limits: ShardLimits, obs: &Arc<Obs>) -> Self {
+        let exec_telemetry = ExecutorTelemetry::new(obs.telemetry(), name);
         Self {
             name: name.to_string(),
             data: Mutex::new(data),
             temporal: Mutex::new(None),
-            executor: Executor::new(limits.workers, limits.queue_depth, obs, name, exec_telemetry),
+            stats: ShardStats::new(obs.telemetry(), name),
+            executor: Executor::new(
+                limits.workers,
+                limits.queue_depth,
+                Arc::clone(obs),
+                name,
+                exec_telemetry,
+            ),
             cache: Mutex::new(Lru::new(limits.cache_capacity)),
             flights: Arc::new(FlightMap::new()),
-            stats: stats.shard_stats(name),
         }
     }
 
@@ -248,7 +248,6 @@ impl ShardRegistry {
         temporal: Option<TemporalState>,
         limits: ShardLimits,
         obs: &Arc<Obs>,
-        stats: &ServeStats,
     ) -> u64 {
         let fingerprint = data.fingerprint;
         let data = Arc::new(data);
@@ -258,7 +257,7 @@ impl ShardRegistry {
             shard.set_temporal(temporal);
             return fingerprint;
         }
-        let shard = Arc::new(Shard::new(name, data, limits, Arc::clone(obs), stats));
+        let shard = Arc::new(Shard::new(name, data, limits, obs));
         shard.set_temporal(temporal);
         shards.insert(name.to_string(), shard);
         obs.set_counter("serve.snapshots", &[], shards.len() as u64);
@@ -294,17 +293,12 @@ mod tests {
     const LIMITS: ShardLimits =
         ShardLimits { workers: 1, queue_depth: 1, cache_capacity: 4 };
 
-    fn stats() -> ServeStats {
-        ServeStats::new(Arc::new(vnet_obs::Telemetry::new(2)))
-    }
-
     #[test]
     fn register_creates_then_refreshes_one_shard() {
         let registry = ShardRegistry::new();
         let obs = Arc::new(Obs::new());
-        let stats = stats();
         let ds = dataset();
-        let fp = registry.register("a", SnapshotData::new(ds.clone()), None, LIMITS, &obs, &stats);
+        let fp = registry.register("a", SnapshotData::new(ds.clone()), None, LIMITS, &obs);
         assert_eq!(fp, ds.fingerprint());
         assert_eq!(registry.names(), vec!["a".to_string()]);
         let shard = registry.get("a").expect("shard exists");
@@ -315,7 +309,7 @@ mod tests {
             CacheKey { dataset: fp, options: 1, section: verified_net::Section::Basic, day: None },
             Arc::new(CachedSection { payload_json: "{}".to_string(), fingerprint: 0 }),
         );
-        let fp2 = registry.register("a", SnapshotData::new(ds), None, LIMITS, &obs, &stats);
+        let fp2 = registry.register("a", SnapshotData::new(ds), None, LIMITS, &obs);
         assert_eq!(fp2, fp);
         let again = registry.get("a").expect("shard exists");
         assert!(Arc::ptr_eq(&shard, &again), "re-register rebuilt the shard");
@@ -438,10 +432,9 @@ mod tests {
     fn shards_are_isolated_objects() {
         let registry = ShardRegistry::new();
         let obs = Arc::new(Obs::new());
-        let stats = stats();
         let ds = dataset();
-        registry.register("a", SnapshotData::new(ds.clone()), None, LIMITS, &obs, &stats);
-        registry.register("b", SnapshotData::new(ds), None, LIMITS, &obs, &stats);
+        registry.register("a", SnapshotData::new(ds.clone()), None, LIMITS, &obs);
+        registry.register("b", SnapshotData::new(ds), None, LIMITS, &obs);
         assert_eq!(registry.names(), vec!["a".to_string(), "b".to_string()]);
         let a = registry.get("a").expect("a");
         let b = registry.get("b").expect("b");
@@ -449,6 +442,49 @@ mod tests {
         assert_eq!(a.data().fingerprint, b.data().fingerprint, "same dataset");
         assert_eq!(obs.metrics().counter("serve.snapshots", &[]), 2);
         assert!(registry.get("c").is_none());
+        for shard in registry.all() {
+            shard.executor.shutdown_and_join(String::new);
+        }
+    }
+
+    #[test]
+    fn a_hundred_names_register_and_every_lookup_still_answers() {
+        // Three nodes and no worker threads: registration cost is the
+        // shard's bookkeeping and its metric series alone.
+        let profiles = (0..3)
+            .map(|id| vnet_twittersim::UserProfile {
+                id,
+                screen_name: format!("user{id}"),
+                lang: "en".to_string(),
+                bio: String::new(),
+                followers_count: 1,
+                friends_count: 1,
+                listed_count: 0,
+                statuses_count: 0,
+                verified: true,
+            })
+            .collect();
+        let graph = vnet_graph::builder::from_edges(3, &[(0, 1), (1, 2), (2, 0)])
+            .expect("valid edges");
+        let tiny = Dataset::from_parts(
+            graph,
+            profiles,
+            vec![1.0, 2.0],
+            vnet_timeseries::Date::new(2017, 6, 1),
+        );
+        let limits = ShardLimits { workers: 0, ..LIMITS };
+        let registry = ShardRegistry::new();
+        let obs = Arc::new(Obs::new());
+        let names: Vec<String> = (0..100).map(|i| format!("s{i:03}")).collect();
+        for name in &names {
+            registry.register(name, SnapshotData::new(tiny.clone()), None, limits, &obs);
+        }
+        assert_eq!(registry.names(), names);
+        assert_eq!(registry.all().len(), 100);
+        for name in &names {
+            assert_eq!(registry.get(name).expect("registered").name, *name);
+        }
+        assert_eq!(obs.metrics().counter("serve.snapshots", &[]), 100);
         for shard in registry.all() {
             shard.executor.shutdown_and_join(String::new);
         }

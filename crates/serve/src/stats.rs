@@ -1,18 +1,14 @@
-//! Pre-registered telemetry handles for the serve hot path.
+//! Interned metric handles for the serve hot path.
 //!
-//! Every metric the request path records per-request lives here as an
-//! interned [`Telemetry`] handle, registered once at server (or shard)
-//! construction — the hot path does atomic adds through the handles and
-//! never formats a label string or takes the registry mutex (the old
-//! path did both on every request; see `vnet_obs::telemetry`). Cold-path
-//! metrics — connection lifecycle, cache misses (amortized by a full
-//! section computation), drains, panics — stay on the plain [`Obs`]
-//! registry calls where the lock cost is irrelevant.
-//!
-//! The split is invisible to readers: the server attaches its
-//! [`Telemetry`] to its [`Obs`], so every snapshot (`metrics`, `status`,
-//! manifests, prom exposition) sees one merged registry with the same
-//! canonical keys the old code wrote.
+//! Every metric the request path records per request is a handle here,
+//! registered once on the server's [`vnet_obs::Telemetry`] store at
+//! server (or shard) construction: the hot path does atomic adds through
+//! the handles and never formats a label string or takes a lock.
+//! Cold-path metrics (connection lifecycle, cache misses, amortized by a
+//! full section computation, drains, panics) are written by name through
+//! [`vnet_obs::Obs`], into the same store. Every snapshot (`metrics`,
+//! `status`, manifests, Prometheus exposition) reads that one store under
+//! the canonical keys.
 //!
 //! ## Staged latency
 //!
@@ -33,10 +29,9 @@
 //! `framing` and `write` are recorded *after* the reply is flushed, so a
 //! `metrics` reply never includes its own request's samples.
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use vnet_obs::{pow2_buckets, CounterId, HistogramId, Telemetry, DEFAULT_BUCKETS};
+use vnet_obs::{pow2_buckets, Counter, Histogram, Telemetry, DEFAULT_BUCKETS};
 
 /// Bucket exponent for stage latencies: 2⁰ … 2²⁶ µs spans 1 µs to ~67 s
 /// with ≤ 2× relative error, HDR-style.
@@ -49,47 +44,37 @@ pub const STAGES: [&str; 5] = ["framing", "admission", "queue", "execute", "writ
 
 /// Global (unlabelled) hot-path handles plus the stage histograms.
 pub(crate) struct ServeStats {
-    pub(crate) telemetry: Arc<Telemetry>,
     /// `serve.requests` — admitted analyze requests (global).
-    pub(crate) requests: CounterId,
+    pub(crate) requests: Counter,
     /// `serve.admitted` — same population, kept for the admission tests'
     /// contract.
-    pub(crate) admitted: CounterId,
+    pub(crate) admitted: Counter,
     /// `serve.rejected{reason=rate_limited}`.
-    pub(crate) rejected_rate_limited: CounterId,
+    pub(crate) rejected_rate_limited: Counter,
     /// `serve.rejected{reason=queue_full}` (global; the per-shard twin
     /// lives in [`ShardStats`]).
-    pub(crate) rejected_queue_full: CounterId,
+    pub(crate) rejected_queue_full: Counter,
     /// `cache.hits` (global).
-    pub(crate) cache_hits: CounterId,
+    pub(crate) cache_hits: Counter,
     /// `serve.asof_cache_hits` — section-cache hits served for an
     /// `as_of` (time-travel) request; the delta-aware cache's win metric.
-    pub(crate) asof_cache_hits: CounterId,
+    pub(crate) asof_cache_hits: Counter,
     /// `serve.asof_materializations` — day graphs actually replayed and
     /// materialized (the cost the day cache and section cache amortize).
-    pub(crate) asof_materializations: CounterId,
+    pub(crate) asof_materializations: Counter,
     /// `serve.coalesced` (global).
-    pub(crate) coalesced: CounterId,
-    /// `serve.retry_after_ms` — decade buckets, matching the registry's
-    /// defaults so the manifest histogram is byte-identical to the old
-    /// recording path (values are integral milliseconds: integer sums
-    /// equal the f64 sums exactly).
-    pub(crate) retry_after_ms: HistogramId,
-    pub(crate) stage_framing: HistogramId,
-    pub(crate) stage_admission: HistogramId,
-    pub(crate) stage_write: HistogramId,
+    pub(crate) coalesced: Counter,
+    /// `serve.retry_after_ms` — decade buckets ([`DEFAULT_BUCKETS`]) of
+    /// integral milliseconds.
+    pub(crate) retry_after_ms: Histogram,
+    pub(crate) stage_framing: Histogram,
+    pub(crate) stage_admission: Histogram,
+    pub(crate) stage_write: Histogram,
 }
 
 impl ServeStats {
     /// Register every global handle on `telemetry`.
-    pub(crate) fn new(telemetry: Arc<Telemetry>) -> Self {
-        let stage = |name: &str| {
-            telemetry.histogram(
-                "serve.stage_wall_micros",
-                &[("stage", name)],
-                &pow2_buckets(STAGE_BUCKET_MAX_EXP),
-            )
-        };
+    pub(crate) fn new(telemetry: &Telemetry) -> Self {
         Self {
             requests: telemetry.counter("serve.requests", &[]),
             admitted: telemetry.counter("serve.admitted", &[]),
@@ -101,41 +86,51 @@ impl ServeStats {
             asof_materializations: telemetry.counter("serve.asof_materializations", &[]),
             coalesced: telemetry.counter("serve.coalesced", &[]),
             retry_after_ms: telemetry.histogram("serve.retry_after_ms", &[], &DEFAULT_BUCKETS),
-            stage_framing: stage("framing"),
-            stage_admission: stage("admission"),
-            stage_write: stage("write"),
-            telemetry,
+            stage_framing: stage_histogram(telemetry, "framing"),
+            stage_admission: stage_histogram(telemetry, "admission"),
+            stage_write: stage_histogram(telemetry, "write"),
         }
     }
+}
 
-    /// Per-shard labelled handles for a (re-)registered shard; idempotent
-    /// because telemetry registration dedups by canonical key.
-    pub(crate) fn shard_stats(&self, shard: &str) -> ShardStats {
-        let labels: &[(&str, &str)] = &[("shard", shard)];
-        ShardStats {
-            requests: self.telemetry.counter("serve.requests", labels),
-            hits: self.telemetry.counter("cache.hits", labels),
-            coalesced: self.telemetry.counter("serve.coalesced", labels),
-            rejected_queue_full: self
-                .telemetry
-                .counter("serve.rejected", &[("reason", "queue_full"), ("shard", shard)]),
-        }
-    }
+/// The `serve.stage_wall_micros{stage=…}` histogram of one stage.
+pub(crate) fn stage_histogram(telemetry: &Telemetry, stage: &str) -> Histogram {
+    telemetry.histogram(
+        "serve.stage_wall_micros",
+        &[("stage", stage)],
+        &pow2_buckets(STAGE_BUCKET_MAX_EXP),
+    )
+}
 
-    /// Record a stage duration measured from `started`.
-    pub(crate) fn observe_stage(&self, stage: &HistogramId, started: Instant) {
-        self.telemetry.observe(stage, started.elapsed().as_micros() as u64);
-    }
+/// Record into a stage histogram the microseconds since `started`.
+pub(crate) fn observe_since(stage: &Histogram, started: Instant) {
+    stage.observe(started.elapsed().as_micros() as u64);
 }
 
 /// One shard's labelled hot-path counters (held inside the `Shard`).
 pub(crate) struct ShardStats {
     /// `serve.requests{shard=…}`.
-    pub(crate) requests: CounterId,
+    pub(crate) requests: Counter,
     /// `cache.hits{shard=…}`.
-    pub(crate) hits: CounterId,
+    pub(crate) hits: Counter,
     /// `serve.coalesced{shard=…}`.
-    pub(crate) coalesced: CounterId,
+    pub(crate) coalesced: Counter,
     /// `serve.rejected{reason=queue_full,shard=…}`.
-    pub(crate) rejected_queue_full: CounterId,
+    pub(crate) rejected_queue_full: Counter,
+}
+
+impl ShardStats {
+    /// Register the handles of the shard named `shard`. Registration
+    /// finds the series already under a key, so a re-registered name
+    /// keeps counting where it left off.
+    pub(crate) fn new(telemetry: &Telemetry, shard: &str) -> Self {
+        let labels: &[(&str, &str)] = &[("shard", shard)];
+        Self {
+            requests: telemetry.counter("serve.requests", labels),
+            hits: telemetry.counter("cache.hits", labels),
+            coalesced: telemetry.counter("serve.coalesced", labels),
+            rejected_queue_full: telemetry
+                .counter("serve.rejected", &[("reason", "queue_full"), ("shard", shard)]),
+        }
+    }
 }

@@ -308,11 +308,7 @@ impl<'a> TwitterApi<'a> {
                 }
             }
             self.obs.inc("api.rate_limited", &[("endpoint", endpoint)]);
-            self.obs.observe(
-                "api.rate_limit_wait_secs",
-                &[("endpoint", endpoint)],
-                retry_after as f64,
-            );
+            self.obs.observe("api.rate_limit_wait_secs", &[("endpoint", endpoint)], retry_after);
             return Err(ApiError::RateLimited { retry_after });
         }
         if let Some(f) = &self.faults {

@@ -505,7 +505,7 @@ impl<'a, 's> Crawler<'a, 's> {
                         return Err(ApiError::ServerError);
                     }
                     let wait = backoff_secs(retries, self.api.clock().now());
-                    self.obs.observe("crawl.backoff_secs", &[], wait as f64);
+                    self.obs.observe("crawl.backoff_secs", &[], wait);
                     self.api.clock().advance(wait);
                 }
                 Err(fatal) => return Err(fatal),

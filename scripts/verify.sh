@@ -6,12 +6,12 @@
 #   scripts/verify.sh obs     observability lane: vnet-obs unit tests +
 #                             the manifest-determinism golden tests
 #   scripts/verify.sh obs-bench
-#                             telemetry lane: the merge-determinism /
+#                             metrics-store lane: the snapshot-determinism /
 #                             Prometheus / watch / self-monitor battery,
 #                             the obs-scoped clippy wall, and the
-#                             obs_overhead regression gate (sharded
-#                             telemetry must beat the global-mutex
-#                             registry at >= 2 recording threads)
+#                             obs_overhead regression gate (an interned
+#                             handle must beat a by-name write at >= 2
+#                             recording threads)
 #   scripts/verify.sh par     parallelism lane: vnet-par unit tests, in
 #                             debug and again in release (the fork path's
 #                             panic, nested-fork and concurrent-caller
@@ -84,8 +84,9 @@
 #                             its own after a wire line; no whole-dataset
 #                             hash or base-dataset clone in serve, no
 #                             FNV-1a outside vnet-obs, no per-call thread
-#                             spawn in vnet-par and no row threshold on
-#                             the Lanczos pool)
+#                             spawn in vnet-par, no row threshold on
+#                             the Lanczos pool, and no second metrics
+#                             store: no merge step, no capacity knob)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -282,6 +283,15 @@ full)
         || grep -rn --include='*.rs' -E 'POOL_MIN_ROWS|iteration_pool' crates/spectral/src/; then
         echo "error: a per-call thread spawn in vnet-par, or a row threshold on the Lanczos pool" >&2
         echo "       (fork through vnet-par's parked helpers; lanczos_topk uses ctx.pool())" >&2
+        exit 1
+    fi
+    # One metrics store: by-name writes and interned handles land in the
+    # same series of vnet_obs::Telemetry, and Registry is only a snapshot
+    # of it — no merge step, no capacity, no NaN to reject.
+    if grep -rn --include='*.rs' -E 'attach_telemetry|sync_telemetry|merge_into|set_(counter|gauge|histogram)_key|Telemetry::with_capacity|DEFAULT_(COUNTERS|GAUGES|HISTOGRAM_SLOTS)|TELEMETRY_STRIPES|rejected_observations' \
+        crates/ tests/ examples/; then
+        echo "error: a second metrics store, a merge step or a capacity knob reappeared" >&2
+        echo "       (write by name through Obs or through handles from obs.telemetry(); see docs/API.md)" >&2
         exit 1
     fi
     ;;

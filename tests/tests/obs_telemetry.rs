@@ -1,103 +1,106 @@
-//! Telemetry-layer battery: merge determinism across thread counts, the
+//! Metrics-store battery: snapshot determinism across thread counts, the
 //! Prometheus wire exposition, the `watch` delta stream, and PELT
 //! self-monitoring.
 //!
-//! The sharded [`Telemetry`] slab's contract (see `vnet-obs` crate docs)
-//! is that the stripe count and the thread-to-stripe interleaving are
-//! invisible after the merge: counters and histogram cells are integer
-//! sums, so any partition of the same samples over any number of
-//! recording threads folds to byte-identical registry snapshots. The
-//! proptest here sweeps 1/2/4/7 recorder threads over generated
-//! workloads and demands bit equality of the rendered exposition. The
-//! wire tests pin the `metrics?format=prom` body bytes for a quiescent
-//! seeded server, stream a `watch` session end to end, and replay a
-//! synthetic queue-depth regime shift through the self-monitor's
-//! injection hook to prove the PELT detector flags it in `status`.
+//! The store's contract (see the `vnet_obs::telemetry` docs) is that the
+//! thread-to-stripe interleaving, and whether a write came by name or
+//! through an interned handle, are invisible in a snapshot: counters and
+//! histogram cells are integer sums, so any partition of the same writes
+//! over any number of recording threads sums to byte-identical
+//! snapshots. The proptest here sweeps 1/2/4/7 recorder threads over
+//! generated mixes of by-name and by-handle writes through one `Obs` and
+//! demands bit equality of the rendered exposition. The wire tests pin
+//! the `metrics?format=prom` body bytes for a quiescent seeded server,
+//! stream a `watch` session end to end, and replay a synthetic
+//! queue-depth regime shift through the self-monitor's injection hook to
+//! prove the PELT detector flags it in `status`.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use verified_net::{AnalysisCtx, Dataset, SynthesisConfig};
 use vnet_integration_tests::LineClient;
-use vnet_obs::{pow2_buckets, render_prometheus, Obs, Registry, Telemetry};
+use vnet_obs::{pow2_buckets, render_prometheus, Obs};
 use vnet_serve::{AdmissionPolicy, MonitorSample, SelfMonitorConfig, Server, ServerConfig};
 
-/// The thread counts every merge compares: serial, even splits, and a
+/// The thread counts every snapshot compares: serial, even splits, and a
 /// prime that never divides the op counts evenly.
 const SWEEP: [usize; 4] = [1, 2, 4, 7];
 
-/// One generated recording op. Gauge values are a function of the key
-/// alone: a gauge is a last-write-wins slot, so only workloads where
-/// every write to a key carries the same value have a thread-order-free
-/// final state — counters and histograms carry the associativity
-/// burden.
+/// One generated recording op, written by name through the `Obs` or
+/// through the interned handle of the same key. Gauge values are a
+/// function of the key alone: a gauge is a last-write-wins slot, so only
+/// workloads where every write to a key carries the same value have a
+/// thread-order-free final state — counters and histograms carry the
+/// associativity burden.
 #[derive(Debug, Clone, Copy)]
 enum TelemetryOp {
-    Add { key: usize, by: u64 },
-    SetGauge { key: usize },
-    Observe { key: usize, value: u64 },
+    Add { key: usize, by: u64, by_name: bool },
+    SetGauge { key: usize, by_name: bool },
+    Observe { key: usize, value: u64, by_name: bool },
 }
 
 fn op_strategy() -> impl Strategy<Value = TelemetryOp> {
     prop_oneof![
-        (0usize..4, 0u64..1_000).prop_map(|(key, by)| TelemetryOp::Add { key, by }),
-        (0usize..3).prop_map(|key| TelemetryOp::SetGauge { key }),
-        (0usize..3, 0u64..10_000_000)
-            .prop_map(|(key, value)| TelemetryOp::Observe { key, value }),
+        (0usize..4, 0u64..1_000, 0u8..2)
+            .prop_map(|(key, by, w)| TelemetryOp::Add { key, by, by_name: w == 1 }),
+        (0usize..3, 0u8..2).prop_map(|(key, w)| TelemetryOp::SetGauge { key, by_name: w == 1 }),
+        (0usize..3, 0u64..10_000_000, 0u8..2)
+            .prop_map(|(key, value, w)| TelemetryOp::Observe { key, value, by_name: w == 1 }),
     ]
 }
 
-/// Apply `ops` over `threads` recorder threads (round-robin partition)
-/// and return the merged registry rendered as Prometheus text — one
-/// canonical byte string covering counters, gauges, and every histogram
-/// cell.
+/// Apply `ops` through one `Obs` over `threads` recorder threads
+/// (round-robin partition) and return its snapshot rendered as
+/// Prometheus text — one canonical byte string covering counters,
+/// gauges, and every histogram cell.
 fn record_and_render(ops: &[TelemetryOp], threads: usize) -> String {
-    let telemetry = Arc::new(Telemetry::new(threads));
+    let obs = Obs::new();
+    let store = obs.telemetry();
     let counters: Vec<_> = (0..4)
-        .map(|i| telemetry.counter("t.counter", &[("k", &format!("c{i}"))]))
+        .map(|i| store.counter("t.counter", &[("k", &format!("c{i}"))]))
         .collect();
     let gauges: Vec<_> =
-        (0..3).map(|i| telemetry.gauge("t.gauge", &[("k", &format!("g{i}"))])).collect();
+        (0..3).map(|i| store.gauge("t.gauge", &[("k", &format!("g{i}"))])).collect();
     let histograms: Vec<_> = (0..3)
-        .map(|i| telemetry.histogram("t.hist", &[("k", &format!("h{i}"))], &pow2_buckets(20)))
+        .map(|i| store.histogram("t.hist", &[("k", &format!("h{i}"))], &pow2_buckets(20)))
         .collect();
-    let workers: Vec<_> = (0..threads)
-        .map(|t| {
-            let telemetry = Arc::clone(&telemetry);
-            let counters = counters.clone();
-            let gauges = gauges.clone();
-            let histograms = histograms.clone();
-            let ops: Vec<TelemetryOp> =
-                ops.iter().copied().skip(t).step_by(threads).collect();
-            std::thread::spawn(move || {
-                for op in ops {
+    std::thread::scope(|scope| {
+        for t in 0..threads {
+            let (obs, counters, gauges, histograms) = (&obs, &counters, &gauges, &histograms);
+            scope.spawn(move || {
+                for &op in ops.iter().skip(t).step_by(threads) {
                     match op {
-                        TelemetryOp::Add { key, by } => telemetry.add(counters[key], by),
-                        TelemetryOp::SetGauge { key } => {
-                            telemetry.set_gauge(gauges[key], 10.0 + key as f64)
+                        TelemetryOp::Add { key, by, by_name: true } => {
+                            obs.inc_by("t.counter", &[("k", &format!("c{key}"))], by);
                         }
-                        TelemetryOp::Observe { key, value } => {
-                            telemetry.observe(&histograms[key], value)
+                        TelemetryOp::Add { key, by, by_name: false } => counters[key].add(by),
+                        TelemetryOp::SetGauge { key, by_name: true } => {
+                            let value = 10.0 + key as f64;
+                            obs.set_gauge("t.gauge", &[("k", &format!("g{key}"))], value);
+                        }
+                        TelemetryOp::SetGauge { key, by_name: false } => {
+                            gauges[key].set(10.0 + key as f64)
+                        }
+                        TelemetryOp::Observe { key, value, by_name: true } => {
+                            obs.observe("t.hist", &[("k", &format!("h{key}"))], value);
+                        }
+                        TelemetryOp::Observe { key, value, by_name: false } => {
+                            histograms[key].observe(value)
                         }
                     }
                 }
-            })
-        })
-        .collect();
-    for w in workers {
-        w.join().expect("recorder thread");
-    }
-    let registry = Registry::new();
-    telemetry.merge_into(&registry);
-    render_prometheus(&registry)
+            });
+        }
+    });
+    render_prometheus(&obs.metrics())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Any partition of the same samples over 1/2/4/7 recorder threads
-    /// merges to byte-identical snapshots.
+    /// Any partition of the same writes, by name and by handle, over
+    /// 1/2/4/7 recorder threads sums to byte-identical snapshots.
     #[test]
     fn merged_snapshots_are_thread_count_invariant(
         ops in proptest::collection::vec(op_strategy(), 1..200),
@@ -109,7 +112,7 @@ proptest! {
             prop_assert_eq!(
                 &rendered,
                 &reference,
-                "telemetry merge diverged between 1 and {} recorder threads",
+                "snapshot diverged between 1 and {} recorder threads",
                 threads
             );
         }
