@@ -26,11 +26,14 @@
 //! on the goodness-of-fit bootstrap (N replicates) in the fig2/eigen
 //! experiments.
 //!
-//! Every paper-section experiment is computed through
-//! [`verified_net::run_analysis_section`] — the same entrypoint the
+//! One battery pass: each [`Section`] the requested experiments read (all
+//! eleven with `--markdown`) is computed once, under the `analysis` span,
+//! through [`verified_net::run_analysis_section`] — the same entrypoint the
 //! `vnet-serve` analysis service and its result cache drive — so the
 //! `section.<id>` fingerprints recorded here are directly comparable to
-//! the fingerprints a service reply embeds.
+//! the fingerprints a service reply embeds. Every experiment, the
+//! deviation table's verified column and the markdown report render from
+//! those reports.
 //!
 //! Output format: one block per experiment, with the paper's published
 //! values and the values measured on the calibrated synthetic dataset
@@ -45,8 +48,8 @@
 
 use std::sync::Arc;
 use verified_net::experiments::{experiment, EXPERIMENTS};
-use verified_net::{deviations, run_analysis_section, Section, SectionReport};
-use verified_net::{AnalysisCtx, AnalysisOptions, Dataset};
+use verified_net::{deviations, render_markdown, run_analysis_section, Section, SectionReport};
+use verified_net::{AnalysisCtx, AnalysisOptions, AnalysisReport, Dataset};
 use verified_net::SynthesisConfig;
 use vnet_detect::{evaluate, run_detection, DetectConfig, DetectInput};
 use vnet_obs::{fingerprint_str, Obs, Reporter};
@@ -193,42 +196,53 @@ fn main() {
     // counts, and keeping the knob visible makes `--threads 1` vs
     // `--threads 4` comparisons explicit about the one field that differs.
     obs.set_counter("par.threads", &[], opts.threads as u64);
-    if let Some(path) = markdown_out {
-        eprintln!("running the full battery for the markdown report ...");
-        let report = {
-            let _span = ctx.span("analysis");
-            verified_net::run_analysis(ds, &opts, &ctx)
-        };
-        std::fs::write(&path, verified_net::render_markdown(&report))
-            .expect("write markdown report");
-        eprintln!("markdown report written to {path}");
-    }
+
+    // The battery pass: every section an experiment reads, or all eleven
+    // for --markdown, computed once in battery order. Each payload's
+    // fingerprint is recorded as `section.<id>` — the exact quantity the
+    // `vnet-serve` result cache keys replies on.
+    let reports: Vec<SectionReport> = {
+        let _span = ctx.span("analysis");
+        Section::ALL
+            .into_iter()
+            .filter(|s| markdown_out.is_some() || ids.iter().any(|id| sections_for(id).contains(s)))
+            .map(|section| {
+                run_analysis_section(ds, section, &opts, &ctx)
+                    .unwrap_or_else(|e| panic!("section {section} failed: {e}"))
+            })
+            .collect()
+    };
+    let mut block_digests: Vec<(String, u64)> = reports
+        .iter()
+        .map(|r| {
+            let json = serde_json::to_string(r).expect("serialize section");
+            (format!("section.{}", r.section()), fingerprint_str(&json))
+        })
+        .collect();
 
     // Each experiment renders into a capture buffer: the text is printed
     // as-is and its fingerprint recorded in the manifest, so two runs can
-    // be compared block-by-block without diffing full logs. Section-backed
-    // experiments additionally record a `section.<id>` payload fingerprint
-    // — the exact quantity the `vnet-serve` result cache keys replies on.
-    let mut block_digests: Vec<(String, u64)> = Vec::new();
+    // be compared block-by-block without diffing full logs.
     for id in &ids {
         match experiment(id) {
             Some(e) => {
                 let block = Reporter::capture();
-                let section_digest = {
+                {
                     let _span = obs.span(&format!("exp.{}", e.id));
-                    run_experiment(ds, &opts, e.id, &block, &ctx)
-                };
+                    run_experiment(e.id, &reports, &opts, &block, &ctx);
+                }
                 let text = block.captured();
                 block_digests.push((format!("exp.{}", e.id), fingerprint_str(&text)));
-                if let Some((name, digest)) = section_digest {
-                    if !block_digests.iter().any(|(n, _)| n == &name) {
-                        block_digests.push((name, digest));
-                    }
-                }
                 print!("{text}");
             }
             None => eprintln!("unknown experiment '{id}' (see --list)"),
         }
+    }
+    if let Some(path) = markdown_out {
+        let all = reports.try_into().expect("--markdown computes every section");
+        let report = AnalysisReport::from_sections(s.clone(), all);
+        std::fs::write(&path, render_markdown(&report)).expect("write markdown report");
+        eprintln!("markdown report written to {path}");
     }
     if sybil_run {
         // The adversarial block runs on its own fixed-seed workload (the
@@ -333,44 +347,49 @@ fn header(id: &str, rep: &Reporter) {
     rep.line("----------------------------------------------------------------------");
 }
 
-/// The paper section each experiment id renders. `deviations` is the one
-/// experiment with no section — it is a cross-cutting comparison, not a
-/// cacheable paper artefact.
-fn section_for(id: &str) -> Option<Section> {
-    Some(match id {
-        "basic" => Section::Basic,
-        "fig1" => Section::Figure1,
-        "fig2" => Section::Degrees,
-        "eigen" => Section::Eigen,
-        "reciprocity" => Section::Reciprocity,
-        "fig3" => Section::Separation,
-        "fig4" | "table1" | "table2" => Section::Bios,
-        "fig5" => Section::Centrality,
-        "fig6" | "adf" | "pelt" => Section::Activity,
-        "elite-core" => Section::EliteCore,
-        "categories" => Section::Categories,
-        _ => return None,
-    })
+/// The sections each experiment id reads. `deviations` reads four: its
+/// verified column is their values.
+fn sections_for(id: &str) -> &'static [Section] {
+    match id {
+        "basic" => &[Section::Basic],
+        "fig1" => &[Section::Figure1],
+        "fig2" => &[Section::Degrees],
+        "eigen" => &[Section::Eigen],
+        "reciprocity" => &[Section::Reciprocity],
+        "fig3" => &[Section::Separation],
+        "fig4" | "table1" | "table2" => &[Section::Bios],
+        "fig5" => &[Section::Centrality],
+        "fig6" | "adf" | "pelt" => &[Section::Activity],
+        "elite-core" => &[Section::EliteCore],
+        "categories" => &[Section::Categories],
+        "deviations" => {
+            &[Section::Basic, Section::Degrees, Section::Reciprocity, Section::Separation]
+        }
+        _ => &[],
+    }
 }
 
-/// Run one experiment through [`run_analysis_section`] (the service/cache
-/// entrypoint) and render its block. Returns the `section.<id>` payload
-/// fingerprint when the experiment is section-backed.
+/// Render one experiment's block from the battery pass's `reports`.
 fn run_experiment(
-    ds: &Dataset,
-    opts: &AnalysisOptions,
     id: &str,
+    reports: &[SectionReport],
+    opts: &AnalysisOptions,
     rep: &Reporter,
     ctx: &AnalysisCtx,
-) -> Option<(String, u64)> {
+) {
     header(id, rep);
-    let Some(section) = section_for(id) else {
-        // `deviations` drives its own estimator sweep.
-        if id == "deviations" {
-            use rand::rngs::StdRng;
-            use rand::SeedableRng;
-            let mut rng = StdRng::seed_from_u64(opts.seed);
-            let r = deviations::deviation_analysis(ds, opts.distance_sources, &mut rng);
+    // The battery pass keeps Section::ALL order, so the reports arrive in it.
+    let read: Vec<_> =
+        reports.iter().filter(|r| sections_for(id).contains(&r.section())).collect();
+    match read[..] {
+        [payload] => render_section(id, payload, rep),
+        [
+            SectionReport::Basic(basic),
+            SectionReport::Degrees(degrees),
+            SectionReport::Reciprocity(recip),
+            SectionReport::Separation(sep),
+        ] => {
+            let r = deviations::deviation_analysis(basic, degrees, recip, sep, opts, ctx);
             rep.line(format!(
                 "{:<48} {:>12} {:>12} {:>6}",
                 "statistic", "verified", "twitter-like", "ok?"
@@ -386,19 +405,10 @@ fn run_experiment(
                 rep.line(format!("    paper: {}", row.paper_claim));
             }
             rep.line(format!("all deviations reproduced: {}", r.all_reproduced));
-        } else {
-            eprintln!("unknown experiment '{id}'");
         }
-        rep.blank();
-        return None;
-    };
-
-    let payload = run_analysis_section(ds, section, opts, ctx)
-        .unwrap_or_else(|e| panic!("section {section} failed: {e}"));
-    let digest = fingerprint_str(&serde_json::to_string(&payload).expect("serialize section"));
-    render_section(id, &payload, rep);
+        _ => unreachable!("the battery pass computes every section '{id}' reads"),
+    }
     rep.blank();
-    Some((format!("section.{section}"), digest))
 }
 
 fn render_section(id: &str, payload: &SectionReport, rep: &Reporter) {

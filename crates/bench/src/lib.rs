@@ -29,13 +29,6 @@ pub fn bench_dataset() -> &'static Dataset {
     DS.get_or_init(|| Dataset::build(&SynthesisConfig::small(), &AnalysisCtx::quiet()))
 }
 
-/// The reproduction-scale dataset (~18k English users), built once per
-/// process. Used by the `repro` binary and the heavier benches.
-pub fn repro_dataset() -> &'static Dataset {
-    static DS: OnceLock<Dataset> = OnceLock::new();
-    DS.get_or_init(|| Dataset::build(&SynthesisConfig::default(), &AnalysisCtx::quiet()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,6 +13,7 @@ use serde::Serialize;
 use vnet_algos::assortativity::{degree_assortativity, DegreeMode};
 use vnet_algos::distances::{distance_distribution, SourceSpec};
 use vnet_algos::reciprocity::reciprocity;
+use vnet_ctx::AnalysisCtx;
 use vnet_graph::DiGraph;
 use vnet_powerlaw::{fit_discrete, FitOptions, XminStrategy};
 
@@ -34,21 +35,26 @@ pub struct NetworkFingerprint {
 }
 
 impl NetworkFingerprint {
-    /// Measure a graph's fingerprint. `sources` bounds the distance
-    /// sample.
-    pub fn measure<R: Rng + ?Sized>(g: &DiGraph, sources: usize, rng: &mut R) -> Self {
+    /// The out-degree fit [`classify_fingerprint`]'s thresholds were set
+    /// against.
+    pub const CLASSIFIER_FIT: FitOptions =
+        FitOptions { xmin: XminStrategy::Quantiles(30), min_tail: 25 };
+
+    /// Measure a graph's fingerprint: the out-degree fit with `fit`, and
+    /// distances from `sources` sampled BFS sources on `ctx`'s pool.
+    pub fn measure<R: Rng + ?Sized>(
+        g: &DiGraph,
+        fit: &FitOptions,
+        sources: usize,
+        rng: &mut R,
+        ctx: &AnalysisCtx,
+    ) -> Self {
         let degrees: Vec<u64> = g.out_degrees().into_iter().filter(|&d| d > 0).collect();
-        let opts = FitOptions { xmin: XminStrategy::Quantiles(30), min_tail: 25 };
-        let (out_alpha, out_ks) = match fit_discrete(&degrees, &opts) {
+        let (out_alpha, out_ks) = match fit_discrete(&degrees, fit) {
             Ok(fit) => (fit.alpha, fit.ks),
             Err(_) => (f64::NAN, 1.0),
         };
-        let d = distance_distribution(
-            g,
-            SourceSpec::Sampled(sources),
-            rng,
-            &vnet_ctx::AnalysisCtx::quiet(),
-        );
+        let d = distance_distribution(g, SourceSpec::Sampled(sources), rng, ctx);
         let attracting = vnet_algos::components::attracting_components(g).len();
         Self {
             out_alpha,
@@ -87,11 +93,13 @@ mod tests {
     use rand::SeedableRng;
     use vnet_synth::{preferential_attachment_directed, VerifiedNetConfig, VerifiedNetwork};
 
+    const FIT: FitOptions = NetworkFingerprint::CLASSIFIER_FIT;
+
     #[test]
     fn verified_model_classified_positive() {
         let mut rng = StdRng::seed_from_u64(21);
         let net = VerifiedNetwork::generate(&VerifiedNetConfig::small(), &mut rng);
-        let fp = NetworkFingerprint::measure(&net.graph, 60, &mut rng);
+        let fp = NetworkFingerprint::measure(&net.graph, &FIT, 60, &mut rng, &AnalysisCtx::quiet());
         assert!(classify_fingerprint(&fp), "verified net misclassified: {fp:?}");
         assert!(fp.reciprocity > 0.28);
     }
@@ -102,7 +110,7 @@ mod tests {
         // Whole-Twitter-like null: PA graph with constant out-degree —
         // no out-degree power law, no reciprocity.
         let g = preferential_attachment_directed(4_000, 25, &mut rng);
-        let fp = NetworkFingerprint::measure(&g, 60, &mut rng);
+        let fp = NetworkFingerprint::measure(&g, &FIT, 60, &mut rng, &AnalysisCtx::quiet());
         assert!(!classify_fingerprint(&fp), "null misclassified: {fp:?}");
         assert!(fp.reciprocity < 0.05, "PA reciprocity {}", fp.reciprocity);
     }
@@ -111,7 +119,7 @@ mod tests {
     fn fingerprint_fields_finite_on_small_graph() {
         let mut rng = StdRng::seed_from_u64(29);
         let g = vnet_synth::erdos_renyi_directed(300, 3_000, &mut rng);
-        let fp = NetworkFingerprint::measure(&g, 30, &mut rng);
+        let fp = NetworkFingerprint::measure(&g, &FIT, 30, &mut rng, &AnalysisCtx::quiet());
         assert!(fp.reciprocity.is_finite());
         assert!(fp.mean_distance.is_finite());
         assert!(fp.attracting_density >= 0.0);

@@ -1,12 +1,14 @@
 //! The full-analysis driver: every paper section in one call.
 //!
 //! [`run_analysis`] takes the dataset, an [`AnalysisOptions`], and an
-//! `AnalysisCtx` (thread pool + observability handle) and composes the
-//! eleven [`crate::section::Section`]s into one [`AnalysisReport`]. Each
-//! section seeds a fresh RNG from `opts.seed`, so any section computed
-//! standalone via [`crate::section::run_analysis_section`] — as the
-//! `vnet-serve` service and its cache do — is bit-identical to the same
-//! field of the full report.
+//! `AnalysisCtx` (thread pool + observability handle), computes the
+//! eleven [`crate::section::Section`]s through the one section dispatcher,
+//! [`crate::section::run_analysis_section`], and assembles them with
+//! [`AnalysisReport::from_sections`], as `repro --markdown` does with the
+//! reports of its one battery pass. Each section seeds a fresh RNG from
+//! `opts.seed`, so a section computed standalone — as the `vnet-serve`
+//! service and its cache do — is bit-identical to the same field of the
+//! full report.
 
 use crate::activity::ActivityReport;
 use crate::basic::BasicReport;
@@ -18,7 +20,7 @@ use crate::degrees::{DegreeReport, Figure1};
 use crate::eigen::EigenReport;
 use crate::elite_core::EliteCoreReport;
 use crate::recip::ReciprocityReport;
-use crate::section;
+use crate::section::{run_analysis_section, Section, SectionReport};
 use crate::separation::SeparationReport;
 use serde::Serialize;
 use vnet_ctx::AnalysisCtx;
@@ -249,7 +251,51 @@ pub struct AnalysisReport {
     pub categories: CategoryReport,
 }
 
-/// Run every analysis of the paper on `dataset`.
+impl AnalysisReport {
+    /// Assemble the full report from the eleven section reports in
+    /// [`Section::ALL`] order, as [`run_analysis_section`] returns them:
+    /// the one place an `AnalysisReport` is built. [`run_analysis`] and
+    /// `repro --markdown` both assemble here.
+    ///
+    /// # Panics
+    /// Panics if `sections` is not in [`Section::ALL`] order.
+    pub fn from_sections(dataset: DatasetSummary, sections: [SectionReport; 11]) -> Self {
+        use SectionReport as S;
+        match sections {
+            [
+                S::Basic(basic),
+                S::Figure1(figure1),
+                S::Degrees(degrees),
+                S::Eigen(eigen),
+                S::Reciprocity(reciprocity),
+                S::Separation(separation),
+                S::Bios(bios),
+                S::Centrality(centrality),
+                S::Activity(activity),
+                S::EliteCore(elite_core),
+                S::Categories(categories),
+            ] => Self {
+                dataset,
+                basic,
+                figure1,
+                degrees,
+                eigen,
+                reciprocity,
+                separation,
+                bios,
+                centrality,
+                activity,
+                elite_core,
+                categories,
+            },
+            other => panic!("sections out of battery order: {:?}", other.map(|s| s.section())),
+        }
+    }
+}
+
+/// Run every analysis of the paper on `dataset`: [`run_analysis_section`]
+/// mapped over [`Section::ALL`], assembled by
+/// [`AnalysisReport::from_sections`].
 ///
 /// The fork-join stages run through `ctx.pool()` and counters/spans land
 /// in `ctx.obs()` (pass [`AnalysisCtx::quiet`] for plain serial results).
@@ -258,42 +304,17 @@ pub struct AnalysisReport {
 /// wall-clock time and telemetry, never a result bit.
 ///
 /// # Panics
-/// Panics if the dataset is too small for the configured estimators
-/// (power-law fits need tails; the battery is meant for graphs of at
-/// least a few thousand nodes), or if it lacks a profile for some graph
+/// Panics if a section fails: the dataset is too small for the configured
+/// estimators (power-law fits need tails; the battery is meant for graphs
+/// of at least a few thousand nodes), or it lacks a profile for some graph
 /// node (the elite-core section reads one per node). Use
-/// [`crate::section::run_analysis_section`] for a non-panicking,
-/// per-section API.
+/// [`run_analysis_section`] for a non-panicking, per-section API.
 pub fn run_analysis(dataset: &Dataset, opts: &AnalysisOptions, ctx: &AnalysisCtx) -> AnalysisReport {
-    let basic = section::sec_basic(dataset, opts, ctx);
-    let fig1 = section::sec_figure1(dataset, opts, ctx);
-    let degrees = section::sec_degrees(dataset, opts, ctx)
-        .expect("degree power-law fit failed — dataset too small?");
-    let eigen = section::sec_eigen(dataset, opts, ctx)
-        .expect("eigenvalue power-law fit failed — dataset too small?");
-    let reciprocity = section::sec_reciprocity(dataset, opts, ctx);
-    let separation = section::sec_separation(dataset, opts, ctx);
-    let bios = section::sec_bios(dataset, opts, ctx);
-    let centrality = section::sec_centrality(dataset, opts, ctx);
-    let activity = section::sec_activity(dataset, opts, ctx)
-        .expect("activity analysis failed — series too short?");
-    let elite_core = section::sec_elite_core(dataset, opts, ctx)
-        .expect("elite core analysis failed — fewer profiles than nodes?");
-    let categories = section::sec_categories(dataset, opts, ctx);
-    AnalysisReport {
-        dataset: dataset.summary(),
-        basic,
-        figure1: fig1,
-        degrees,
-        eigen,
-        reciprocity,
-        separation,
-        bios,
-        centrality,
-        activity,
-        elite_core,
-        categories,
-    }
+    let sections = Section::ALL.map(|section| {
+        run_analysis_section(dataset, section, opts, ctx)
+            .unwrap_or_else(|e| panic!("section '{section}' failed: {e}"))
+    });
+    AnalysisReport::from_sections(dataset.summary(), sections)
 }
 
 #[cfg(test)]

@@ -1,14 +1,15 @@
 //! Named analysis sections: the unit of work shared by the batch driver
-//! ([`crate::report::run_analysis`]), the analysis service (`vnet-serve`),
-//! and its result cache.
+//! ([`crate::report::run_analysis`]), `repro`, the analysis service
+//! (`vnet-serve`) and its result cache.
 //!
 //! Each [`Section`] is one paper artefact group with a stable string id.
-//! [`run_analysis_section`] computes exactly one of them; the full-report
-//! driver composes all eleven. Both paths share the per-section helpers
-//! below, and every section seeds a **fresh** RNG from
-//! `AnalysisOptions::seed` — so a section computed alone is bit-identical
-//! to the same section inside a full run, which is what lets the service
-//! cache single sections and still hand back batch-identical payloads.
+//! [`run_analysis_section`] is the one dispatcher that computes a section;
+//! the full-report driver maps it over all eleven and assembles the
+//! results with [`crate::report::AnalysisReport::from_sections`]. Every
+//! section seeds a **fresh** RNG from `AnalysisOptions::seed` — so a
+//! section computed alone is bit-identical to the same section inside a
+//! full run, which is what lets the service cache single sections and
+//! still hand back batch-identical payloads.
 
 use crate::activity::{activity_analysis, ActivityReport};
 use crate::basic::{basic_analysis, BasicReport};
@@ -187,7 +188,7 @@ fn analysis_err(section: Section, e: impl std::fmt::Display) -> VnetError {
 /// smuggled through dataset I/O) become [`VnetError::InvalidInput`] so the
 /// service reports them as a client-data problem, not a computation
 /// failure; everything else stays an analysis error.
-pub(crate) fn fit_err(section: Section, e: vnet_powerlaw::PowerLawError) -> VnetError {
+fn fit_err(section: Section, e: vnet_powerlaw::PowerLawError) -> VnetError {
     match e {
         vnet_powerlaw::PowerLawError::InvalidData(m) => {
             VnetError::InvalidInput(format!("section '{}': {m}", section.id()))
@@ -196,143 +197,70 @@ pub(crate) fn fit_err(section: Section, e: vnet_powerlaw::PowerLawError) -> Vnet
     }
 }
 
-/// Fresh per-section RNG: one seed, one stream per section, so a section
-/// computed alone matches the same section inside a full run.
-fn section_rng(opts: &AnalysisOptions) -> StdRng {
-    StdRng::seed_from_u64(opts.seed)
-}
-
-pub(crate) fn sec_basic(ds: &Dataset, opts: &AnalysisOptions, ctx: &AnalysisCtx) -> BasicReport {
-    let _span = ctx.span("analysis.basic");
-    basic_analysis(ds, opts.clustering_samples, &mut section_rng(opts), ctx)
-}
-
-pub(crate) fn sec_figure1(ds: &Dataset, opts: &AnalysisOptions, ctx: &AnalysisCtx) -> Figure1 {
-    let _span = ctx.span("analysis.figure1");
-    figure1(ds, opts.fig1_bins)
-}
-
-pub(crate) fn sec_degrees(
-    ds: &Dataset,
-    opts: &AnalysisOptions,
-    ctx: &AnalysisCtx,
-) -> Result<DegreeReport> {
-    let _span = ctx.span("analysis.degrees");
-    degree_analysis(ds, &opts.fit, opts.bootstrap_reps, &mut section_rng(opts), ctx)
-        .map_err(|e| fit_err(Section::Degrees, e))
-}
-
-pub(crate) fn sec_eigen(
-    ds: &Dataset,
-    opts: &AnalysisOptions,
-    ctx: &AnalysisCtx,
-) -> Result<EigenReport> {
-    let _span = ctx.span("analysis.eigen");
-    eigen_analysis(
-        ds,
-        opts.eigen_k,
-        opts.lanczos_steps,
-        &opts.fit,
-        opts.bootstrap_reps,
-        &mut section_rng(opts),
-        ctx,
-    )
-    .map_err(|e| fit_err(Section::Eigen, e))
-}
-
-pub(crate) fn sec_reciprocity(
-    ds: &Dataset,
-    _opts: &AnalysisOptions,
-    ctx: &AnalysisCtx,
-) -> ReciprocityReport {
-    let _span = ctx.span("analysis.reciprocity");
-    reciprocity_analysis(ds)
-}
-
-pub(crate) fn sec_separation(
-    ds: &Dataset,
-    opts: &AnalysisOptions,
-    ctx: &AnalysisCtx,
-) -> SeparationReport {
-    let _span = ctx.span("analysis.separation");
-    separation_analysis(ds, opts.distance_sources, &mut section_rng(opts), ctx)
-}
-
-pub(crate) fn sec_bios(ds: &Dataset, opts: &AnalysisOptions, ctx: &AnalysisCtx) -> BioReport {
-    let _span = ctx.span("analysis.bios");
-    bio_analysis(ds, opts.ngram_rows, ctx)
-}
-
-pub(crate) fn sec_centrality(
-    ds: &Dataset,
-    opts: &AnalysisOptions,
-    ctx: &AnalysisCtx,
-) -> CentralityReport {
-    let _span = ctx.span("analysis.centrality");
-    centrality_analysis(ds, opts.betweenness_pivots, &mut section_rng(opts), ctx)
-}
-
-pub(crate) fn sec_activity(
-    ds: &Dataset,
-    opts: &AnalysisOptions,
-    ctx: &AnalysisCtx,
-) -> Result<ActivityReport> {
-    let _span = ctx.span("analysis.activity");
-    activity_analysis(ds, opts.lag_cap, ctx).map_err(|e| analysis_err(Section::Activity, e))
-}
-
-/// Refuses a dataset without one profile per graph node: core reach reads
-/// each member's profile. A sybil shard's graph carries planted accounts
-/// that have none.
-pub(crate) fn sec_elite_core(
-    ds: &Dataset,
-    _opts: &AnalysisOptions,
-    ctx: &AnalysisCtx,
-) -> Result<EliteCoreReport> {
-    if ds.profiles.len() != ds.graph.node_count() {
-        return Err(VnetError::Inconsistent(format!(
-            "section 'elite_core' reads one profile per node: {} profiles for {} nodes",
-            ds.profiles.len(),
-            ds.graph.node_count()
-        )));
-    }
-    let _span = ctx.span("analysis.elite_core");
-    Ok(elite_core_analysis(ds))
-}
-
-pub(crate) fn sec_categories(
-    ds: &Dataset,
-    _opts: &AnalysisOptions,
-    ctx: &AnalysisCtx,
-) -> CategoryReport {
-    let _span = ctx.span("analysis.categories");
-    category_analysis(ds)
-}
-
-/// Compute exactly one section of the analysis battery.
-///
-/// This is the entrypoint the `vnet-serve` service, its result cache, and
-/// `repro --exp` all drive. The section's payload is bit-identical to the
-/// same field of [`crate::report::run_analysis`]'s full report for the
+/// Compute exactly one section of the analysis battery, under the span
+/// `analysis.<id>`: the one section dispatcher, which
+/// [`crate::report::run_analysis`], `repro` and the `vnet-serve` service
+/// all call. Every section seeds a fresh RNG from `opts.seed`, so its
+/// payload is bit-identical to the same field of the full report for the
 /// same dataset and options, at any thread count.
+///
+/// `elite_core` refuses a dataset without one profile per graph node: core
+/// reach reads each member's profile, and a sybil shard's planted
+/// accounts have none.
 pub fn run_analysis_section(
     dataset: &Dataset,
     section: Section,
     opts: &AnalysisOptions,
     ctx: &AnalysisCtx,
 ) -> Result<SectionReport> {
+    let _span = ctx.span(&format!("analysis.{section}"));
+    let rng = &mut StdRng::seed_from_u64(opts.seed);
     Ok(match section {
-        Section::Basic => SectionReport::Basic(sec_basic(dataset, opts, ctx)),
-        Section::Figure1 => SectionReport::Figure1(sec_figure1(dataset, opts, ctx)),
-        Section::Degrees => SectionReport::Degrees(sec_degrees(dataset, opts, ctx)?),
-        Section::Eigen => SectionReport::Eigen(sec_eigen(dataset, opts, ctx)?),
-        Section::Reciprocity => SectionReport::Reciprocity(sec_reciprocity(dataset, opts, ctx)),
-        Section::Separation => SectionReport::Separation(sec_separation(dataset, opts, ctx)),
-        Section::Bios => SectionReport::Bios(sec_bios(dataset, opts, ctx)),
-        Section::Centrality => SectionReport::Centrality(sec_centrality(dataset, opts, ctx)),
-        Section::Activity => SectionReport::Activity(sec_activity(dataset, opts, ctx)?),
-        Section::EliteCore => SectionReport::EliteCore(sec_elite_core(dataset, opts, ctx)?),
-        Section::Categories => SectionReport::Categories(sec_categories(dataset, opts, ctx)),
+        Section::Basic => {
+            SectionReport::Basic(basic_analysis(dataset, opts.clustering_samples, rng, ctx))
+        }
+        Section::Figure1 => SectionReport::Figure1(figure1(dataset, opts.fig1_bins)),
+        Section::Degrees => SectionReport::Degrees(
+            degree_analysis(dataset, &opts.fit, opts.bootstrap_reps, rng, ctx)
+                .map_err(|e| fit_err(section, e))?,
+        ),
+        Section::Eigen => SectionReport::Eigen(
+            eigen_analysis(
+                dataset,
+                opts.eigen_k,
+                opts.lanczos_steps,
+                &opts.fit,
+                opts.bootstrap_reps,
+                rng,
+                ctx,
+            )
+            .map_err(|e| fit_err(section, e))?,
+        ),
+        Section::Reciprocity => SectionReport::Reciprocity(reciprocity_analysis(dataset)),
+        Section::Separation => {
+            SectionReport::Separation(separation_analysis(dataset, opts.distance_sources, rng, ctx))
+        }
+        Section::Bios => SectionReport::Bios(bio_analysis(dataset, opts.ngram_rows, ctx)),
+        Section::Centrality => SectionReport::Centrality(centrality_analysis(
+            dataset,
+            opts.betweenness_pivots,
+            rng,
+            ctx,
+        )),
+        Section::Activity => SectionReport::Activity(
+            activity_analysis(dataset, opts.lag_cap, ctx).map_err(|e| analysis_err(section, e))?,
+        ),
+        Section::EliteCore => {
+            if dataset.profiles.len() != dataset.graph.node_count() {
+                return Err(VnetError::Inconsistent(format!(
+                    "section 'elite_core' reads one profile per node: {} profiles for {} nodes",
+                    dataset.profiles.len(),
+                    dataset.graph.node_count()
+                )));
+            }
+            SectionReport::EliteCore(elite_core_analysis(dataset))
+        }
+        Section::Categories => SectionReport::Categories(category_analysis(dataset)),
     })
 }
 

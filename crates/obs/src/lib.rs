@@ -134,21 +134,23 @@ struct ObsShared {
 impl Obs {
     /// A recording handle.
     pub fn new() -> Self {
-        Self {
-            enabled: true,
-            shared: Arc::new(ObsShared { telemetry: Telemetry::new(), tracer: Tracer::new() }),
-        }
+        Self::with_tracer(true, Tracer::new())
+    }
+
+    /// A recording handle whose spans are no-ops: for a long-lived
+    /// process whose concurrent requests would otherwise append to one
+    /// single-writer [`Tracer`] that nothing reads or frees.
+    pub fn untraced() -> Self {
+        Self::with_tracer(true, Tracer::disabled())
     }
 
     /// A handle where every recording call is a no-op.
     pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            shared: Arc::new(ObsShared {
-                telemetry: Telemetry::new(),
-                tracer: Tracer::disabled(),
-            }),
-        }
+        Self::with_tracer(false, Tracer::disabled())
+    }
+
+    fn with_tracer(enabled: bool, tracer: Tracer) -> Self {
+        Self { enabled, shared: Arc::new(ObsShared { telemetry: Telemetry::new(), tracer }) }
     }
 
     /// The shared disabled handle. Library entry points that take no

@@ -123,7 +123,10 @@ impl Server {
     pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        let obs = Arc::new(Obs::new());
+        // Requests run on many workers at once, so the server records no
+        // span: one tracer would nest each worker's spans under another's
+        // and keep them for the life of the process.
+        let obs = Arc::new(Obs::untraced());
         // The hot path records through handles on the Obs's own store, so
         // every snapshot (metrics/status/manifest/prom) reads them.
         let stats = ServeStats::new(obs.telemetry());

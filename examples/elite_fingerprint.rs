@@ -13,13 +13,17 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use verified_net::{classify_fingerprint, NetworkFingerprint};
+use verified_net::{classify_fingerprint, AnalysisCtx, NetworkFingerprint};
 use vnet_synth::{
     directed_configuration_model, erdos_renyi_directed, preferential_attachment_directed,
     VerifiedNetConfig, VerifiedNetwork,
 };
 
+/// The fit the classifier's thresholds were set against.
+const FIT: vnet_powerlaw::FitOptions = NetworkFingerprint::CLASSIFIER_FIT;
+
 fn main() {
+    let ctx = AnalysisCtx::quiet();
     println!("network fingerprints — verified model vs null models\n");
     println!(
         "{:<22} {:>7} {:>7} {:>7} {:>8} {:>7} {:>9}",
@@ -36,7 +40,7 @@ fn main() {
 
         // Positive class: the calibrated verified model.
         let net = VerifiedNetwork::generate(&VerifiedNetConfig::small(), &mut rng);
-        let fp = NetworkFingerprint::measure(&net.graph, 80, &mut rng);
+        let fp = NetworkFingerprint::measure(&net.graph, &FIT, 80, &mut rng, &ctx);
         print_row(&format!("verified (seed {seed})"), &fp);
         total += 1;
         if classify_fingerprint(&fp) {
@@ -46,7 +50,7 @@ fn main() {
         // Null 1: preferential attachment (whole-Twitter-like popularity,
         // constant out-degree, no reciprocity).
         let pa = preferential_attachment_directed(4_000, 25, &mut rng);
-        let fp = NetworkFingerprint::measure(&pa, 80, &mut rng);
+        let fp = NetworkFingerprint::measure(&pa, &FIT, 80, &mut rng, &ctx);
         print_row(&format!("pref-attach (seed {seed})"), &fp);
         total += 1;
         if !classify_fingerprint(&fp) {
@@ -55,7 +59,7 @@ fn main() {
 
         // Null 2: Erdős–Rényi with matched density.
         let er = erdos_renyi_directed(4_000, net.graph.edge_count(), &mut rng);
-        let fp = NetworkFingerprint::measure(&er, 80, &mut rng);
+        let fp = NetworkFingerprint::measure(&er, &FIT, 80, &mut rng, &ctx);
         print_row(&format!("erdos-renyi (seed {seed})"), &fp);
         total += 1;
         if !classify_fingerprint(&fp) {
@@ -70,7 +74,7 @@ fn main() {
             &net.graph.in_degrees(),
             &mut rng,
         );
-        let fp = NetworkFingerprint::measure(&cm, 80, &mut rng);
+        let fp = NetworkFingerprint::measure(&cm, &FIT, 80, &mut rng, &ctx);
         print_row(&format!("config-model (seed {seed})"), &fp);
         total += 1;
         if !classify_fingerprint(&fp) {

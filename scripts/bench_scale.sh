@@ -45,9 +45,9 @@ for t in 1 2 4; do
         --manifest "$tmpdir/m$t.json" >"$tmpdir/t$t.log" 2>&1
 done
 
-# Per-stage wall micros from the manifest span tree (summed over repeat
-# spans: some stages run under more than one experiment), plus the
-# memory gauges the streaming build exports.
+# Per-stage wall micros from the manifest span tree (repro computes each
+# section once per run, so each stage has one span; a stage that did not
+# run reads 0), plus the memory gauges the streaming build exports.
 jq -n --argjson cores "$cores" \
     --slurpfile m1 "$tmpdir/m1.json" \
     --slurpfile m2 "$tmpdir/m2.json" \

@@ -85,8 +85,11 @@
 #                             hash or base-dataset clone in serve, no
 #                             FNV-1a outside vnet-obs, no per-call thread
 #                             spawn in vnet-par, no row threshold on
-#                             the Lanczos pool, and no second metrics
-#                             store: no merge step, no capacity knob)
+#                             the Lanczos pool, no second metrics
+#                             store: no merge step, no capacity knob,
+#                             and no second section dispatcher: no
+#                             fn sec_* in crates/core/src/, no
+#                             run_analysis( call in repro)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -292,6 +295,15 @@ full)
         crates/ tests/ examples/; then
         echo "error: a second metrics store, a merge step or a capacity knob reappeared" >&2
         echo "       (write by name through Obs or through handles from obs.telemetry(); see docs/API.md)" >&2
+        exit 1
+    fi
+    # One battery pass: run_analysis_section is the only section
+    # dispatcher, and repro renders every experiment and --markdown from
+    # the section reports it computed once, never from a second battery.
+    if grep -n -F 'run_analysis(' crates/bench/src/bin/repro.rs \
+        || grep -rn --include='*.rs' -E 'fn sec_' crates/core/src/; then
+        echo "error: a second section dispatcher or a second battery run in repro reappeared" >&2
+        echo "       (compute sections through run_analysis_section; assemble with AnalysisReport::from_sections)" >&2
         exit 1
     fi
     ;;

@@ -4,11 +4,14 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use verified_net::{classify_fingerprint, NetworkFingerprint};
+use verified_net::{classify_fingerprint, AnalysisCtx, NetworkFingerprint};
 use vnet_algos::clustering::average_local_clustering_sampled;
 use vnet_algos::components::{attracting_components, strongly_connected_components};
 use vnet_algos::reciprocity::reciprocity;
 use vnet_synth::{directed_configuration_model, VerifiedNetConfig, VerifiedNetwork};
+
+/// The fit the classifier's thresholds were set against.
+const FIT: vnet_powerlaw::FitOptions = NetworkFingerprint::CLASSIFIER_FIT;
 
 fn gen(cfg: &VerifiedNetConfig, seed: u64) -> VerifiedNetwork {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -63,6 +66,7 @@ fn sink_ablation_removes_nontrivial_attractors_only() {
 fn fingerprint_separates_model_from_degree_matched_null() {
     // The sternest test of Section VI's idea: a configuration-model twin
     // with identical degree sequences must be told apart.
+    let quiet = AnalysisCtx::quiet();
     let mut rng = StdRng::seed_from_u64(13);
     let net = gen(&VerifiedNetConfig::small(), 13);
     let twin = directed_configuration_model(
@@ -70,8 +74,8 @@ fn fingerprint_separates_model_from_degree_matched_null() {
         &net.graph.in_degrees(),
         &mut rng,
     );
-    let fp_real = NetworkFingerprint::measure(&net.graph, 60, &mut rng);
-    let fp_twin = NetworkFingerprint::measure(&twin, 60, &mut rng);
+    let fp_real = NetworkFingerprint::measure(&net.graph, &FIT, 60, &mut rng, &quiet);
+    let fp_twin = NetworkFingerprint::measure(&twin, &FIT, 60, &mut rng, &quiet);
     assert!(classify_fingerprint(&fp_real), "real fingerprint rejected: {fp_real:?}");
     assert!(!classify_fingerprint(&fp_twin), "degree twin accepted: {fp_twin:?}");
     // And the separating feature is reciprocity, exactly as documented.
@@ -81,9 +85,10 @@ fn fingerprint_separates_model_from_degree_matched_null() {
 
 #[test]
 fn ablated_networks_lose_the_fingerprint() {
+    let quiet = AnalysisCtx::quiet();
     let mut rng = StdRng::seed_from_u64(17);
     let ablated = gen(&VerifiedNetConfig::small().without_reciprocity(), 17);
-    let fp = NetworkFingerprint::measure(&ablated.graph, 60, &mut rng);
+    let fp = NetworkFingerprint::measure(&ablated.graph, &FIT, 60, &mut rng, &quiet);
     assert!(
         !classify_fingerprint(&fp),
         "reciprocity-ablated network should fail classification: {fp:?}"

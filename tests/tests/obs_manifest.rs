@@ -47,6 +47,29 @@ fn different_seed_changes_the_manifest() {
     assert_ne!(a, b, "a different fault plan must leave a different trace");
 }
 
+/// Histogram bytes across commits: the two same-build comparisons above
+/// cannot see a change to how a histogram buckets or sums, so the
+/// deterministic view's `histograms` JSON for plan 7 is pinned here.
+#[test]
+fn fault_plan_histograms_are_pinned() {
+    let (manifest, _) = observed_faulty_run(7);
+    let histograms = manifest.deterministic_view().histograms;
+    let observed = |key: &str| histograms.get(key).map_or(0, |h| h.count);
+    assert!(observed("crawl.backoff_secs") > 0, "no backoff observed: {histograms:?}");
+    assert!(
+        histograms
+            .iter()
+            .any(|(k, h)| k.starts_with("api.rate_limit_wait_secs{endpoint=") && h.count > 0),
+        "no per-endpoint rate-limit wait observed: {histograms:?}"
+    );
+    let json = serde_json::to_string(&histograms).expect("histograms serialize");
+    assert_eq!(
+        vnet_obs::fingerprint_str(&json),
+        0x06c7_b94a_0276_aca2,
+        "histogram bytes moved: {json}"
+    );
+}
+
 #[test]
 fn manifest_carries_per_endpoint_and_fault_counters() {
     let (manifest, json) = observed_faulty_run(7);

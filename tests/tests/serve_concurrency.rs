@@ -120,6 +120,43 @@ fn concurrent_identical_requests_coalesce_to_one_computation() {
     handle.join();
 }
 
+/// The server keeps its counters and histograms and records no span.
+/// Every executor worker used to append its section spans to the
+/// server's one single-writer tracer, which nothing read or freed, each
+/// span nesting under whatever span another worker held open.
+#[test]
+fn analyze_misses_leave_no_spans_behind() {
+    let handle = start(ServerConfig::default());
+    handle.register_dataset("s", dataset().clone());
+    let addr = handle.local_addr();
+
+    let clients: Vec<_> = (0..2u64)
+        .map(|client| {
+            std::thread::spawn(move || {
+                let mut c = LineClient::connect(addr);
+                for i in 0..10u64 {
+                    let seed = 1_000 + 10 * client + i;
+                    let reply = c.req(&format!(
+                        r#"{{"v":1,"cmd":"analyze","snapshot":"s","sections":["basic","reciprocity"],"options":{{"seed":{seed}}}}}"#
+                    ));
+                    let v: serde_json::Value = serde_json::from_str(&reply).expect("reply parses");
+                    assert_eq!(v["ok"].as_bool(), Some(true), "analyze failed: {reply}");
+                }
+            })
+        })
+        .collect();
+    for t in clients {
+        t.join().expect("client thread");
+    }
+
+    assert_eq!(counter(&handle, "cache.misses"), 40, "every section of every request misses");
+    let spans = handle.obs_handle().tracer().spans();
+    assert!(spans.is_empty(), "{} spans left behind, first {:?}", spans.len(), spans.first());
+
+    handle.shutdown();
+    handle.join();
+}
+
 /// Shutdown while admitted analyses are queued and running: every admitted
 /// client gets its full reply, a request arriving after the shutdown is
 /// refused with `shutting_down`, and the drain is event-driven (condvar
