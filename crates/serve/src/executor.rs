@@ -12,9 +12,9 @@
 //!
 //! Jobs produce a reply `String` delivered through a [`JobHandle`]; the
 //! connection thread waits on the handle with a deadline and can flag
-//! cancellation, which the job observes through its [`CancelToken`] at
-//! section boundaries (a timed-out computation stops early instead of
-//! burning CPU invisibly).
+//! cancellation, which the job observes through its [`CancelToken`]
+//! before each cache lookup (a timed-out computation stops early
+//! instead of burning CPU invisibly).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -21,11 +21,12 @@
 //! socket read timeouts without discarding buffered partial requests, so
 //! arbitrarily slow writers are safe. Each registered snapshot is a
 //! **shard** with its own fixed worker-pool [`Executor`] (bounded queue,
-//! `Condvar` scheduling — refusals get a structured `queue_full` reply),
-//! its own LRU result cache, and its own single-flight map: one leader
-//! computes each section, every coalesced waiter fans out the same bytes
-//! (`serve.coalesced` counts them), and a hot snapshot saturates only its
-//! own queue. In front of the router sits an optional [`Admission`] gate
+//! `Condvar` scheduling — refusals get a structured `queue_full` reply)
+//! and its own caches of sections, day graphs and `detect` replies. Each
+//! cache is one memo, an LRU whose misses fill under single-flight
+//! coalescing: one leader computes each value, every coalesced waiter
+//! fans out the same bytes (`serve.coalesced` counts them), and a hot
+//! snapshot saturates only its own queue. In front of the router sits an optional [`Admission`] gate
 //! that charges `twittersim`'s rate-limit window per client id: over
 //! quota means a `rate_limited` reply with a deterministic
 //! `retry_after_ms` hint, and rejected requests consume no quota.
@@ -92,7 +93,6 @@ mod admission;
 mod cache;
 mod conn;
 mod executor;
-mod flight;
 mod framing;
 mod monitor;
 mod protocol;

@@ -5,17 +5,19 @@
 //! **admission → shard router → executor**. One registered thread per
 //! connection frames request lines through [`crate::framing::LineReader`]
 //! (slow writers keep their partial bytes across read-timeout ticks);
-//! `analyze` requests first pass the per-client token-bucket
-//! [`Admission`] gate (`rate_limited` + deterministic `retry_after_ms`
-//! on rejection, charged through `twittersim`'s `RateWindow`), then route
-//! to their snapshot's [`Shard`] — each shard owns a bounded-queue
-//! worker-pool [`Executor`] (refusals get `queue_full`), an LRU section
-//! cache, and a single-flight map, so a hot snapshot cannot starve the
-//! others. Shutdown is event-driven — every shard drains on its
-//! executor's quiescence condvar, a loopback wake replaces accept
-//! polling, and every worker and connection thread is joined before the
-//! listener dies.
+//! `analyze` and `detect` take one path, [`handle_job`]: the per-client
+//! token-bucket [`Admission`] gate (`rate_limited` + deterministic
+//! `retry_after_ms` on rejection, charged through `twittersim`'s
+//! `RateWindow`), then their snapshot's [`Shard`] — each shard owns a
+//! bounded-queue worker-pool [`Executor`] (refusals get `queue_full`) and
+//! its caches, so a hot snapshot cannot starve the others. On the worker,
+//! every section, day graph and `detect` reply comes from one
+//! [`Memo::get_or_fill`](crate::cache::Memo::get_or_fill). Shutdown is
+//! event-driven — every shard drains on its executor's quiescence
+//! condvar, a loopback wake replaces accept polling, and every worker
+//! and connection thread is joined before the listener dies.
 
+use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -28,7 +30,7 @@ use verified_net::{
 };
 use vnet_detect::{evaluate, run_detection, DetectConfig, DetectInput};
 use vnet_graph::NodeId;
-use vnet_obs::{fingerprint_str, render_prometheus_parts, Obs};
+use vnet_obs::{render_prometheus_parts, Obs};
 use vnet_par::ParPool;
 use vnet_synth::{
     inject_sybil, ChurnConfig, ChurnEvent, ChurnStream, SybilConfig, SybilWorkload,
@@ -36,10 +38,9 @@ use vnet_synth::{
 use vnet_temporal::{EngineConfig, Timeline};
 
 use crate::admission::{Admission, AdmissionClock, AdmissionPolicy};
-use crate::cache::{CacheKey, CachedSection};
+use crate::cache::{CacheKey, CachedSection, Fill};
 use crate::conn::{ConnRegistry, READ_TICK};
 use crate::executor::{CancelToken, SubmitRefusal};
-use crate::flight::Role;
 use crate::monitor::{MonitorSample, SelfMonitor, SelfMonitorConfig};
 use crate::protocol::{
     error_reply, json_str, parse_request, ChurnSpec, MetricsFormat, RegisterSource, Request,
@@ -65,7 +66,7 @@ pub struct ServerConfig {
     /// Each shard's result-cache capacity in section payloads.
     pub cache_capacity: usize,
     /// Per-request compute budget before a `timeout` reply (the timed-out
-    /// job is cancelled at its next section boundary).
+    /// job is cancelled before its next cache lookup).
     pub request_timeout_millis: u64,
     /// Per-client token-bucket admission control; `None` (the default)
     /// admits everything. The window accounting is `twittersim`'s
@@ -268,19 +269,12 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     // Blocking accept: the thread sleeps in the kernel until a client (or
     // the shutdown self-connect from `drain_and_stop`) arrives — no
     // `WouldBlock` polling.
-    while !shared.stopped.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shared.stopped.load(Ordering::SeqCst) {
-                    break; // the shutdown wake-up connection
-                }
-                shared.conns.spawn_connection(stream, Arc::clone(&shared));
-            }
-            Err(_) => {
-                if shared.stopped.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
+    for stream in listener.incoming() {
+        if shared.stopped.load(Ordering::SeqCst) {
+            break; // the shutdown wake-up connection
+        }
+        if let Ok(stream) = stream {
+            shared.conns.spawn_connection(stream, Arc::clone(&shared));
         }
     }
     // Listener closes when it drops; connection threads exit at their
@@ -320,11 +314,11 @@ pub(crate) fn handle_line(shared: &Arc<Shared>, line: &str) -> Dispatch {
         Request::Register { name, source, churn, sybil } => {
             Dispatch::Reply(handle_register(shared, &name, source, churn, sybil))
         }
-        Request::Analyze { snapshot, sections, options, client, as_of } => {
-            Dispatch::Reply(handle_analyze(shared, &snapshot, sections, options, &client, as_of))
-        }
+        Request::Analyze { snapshot, sections, options, client, as_of } => Dispatch::Reply(
+            handle_job(shared, &snapshot, &client, as_of, Job::Analyze { sections, options }),
+        ),
         Request::Detect { snapshot, client, as_of, top_k } => {
-            Dispatch::Reply(handle_detect(shared, &snapshot, &client, as_of, top_k))
+            Dispatch::Reply(handle_job(shared, &snapshot, &client, as_of, Job::Detect { top_k }))
         }
         Request::Status { snapshot } => Dispatch::Reply(handle_status(shared, snapshot.as_deref())),
         Request::Metrics { snapshot, format } => {
@@ -409,7 +403,7 @@ fn build_temporal(
     dataset: &Dataset,
     spec: &ChurnSpec,
     workload: Option<&SybilWorkload>,
-) -> Result<TemporalState, VnetError> {
+) -> TemporalState {
     let seed = spec.seed.unwrap_or(ChurnConfig::default().seed);
     let mut churn_config = ChurnConfig { seed, ..ChurnConfig::default() };
     if let Some(day) = spec.shock_day {
@@ -420,26 +414,17 @@ fn build_temporal(
     if let Some(w) = workload {
         w.attach(&mut stream);
     }
-    let engine_config = EngineConfig {
-        compact_every: TIMELINE_CHECKPOINT_STRIDE,
-        refit_every: TIMELINE_CHECKPOINT_STRIDE,
-        pagerank: None,
-    };
-    let timeline = Timeline::build(
-        stream,
-        engine_config,
-        spec.days,
-        TIMELINE_CHECKPOINT_STRIDE,
-        &shared.ctx,
-    );
+    let stride = TIMELINE_CHECKPOINT_STRIDE;
+    let engine_config = EngineConfig { compact_every: stride, refit_every: stride, pagerank: None };
+    let timeline = Timeline::build(stream, engine_config, spec.days, stride, &shared.ctx);
     let state = TemporalState::new(timeline, seed);
-    Ok(match workload {
+    match workload {
         None => state,
         Some(w) => {
             let daily = collect_daily_follows(dataset, churn_config, w, spec.days);
             state.with_sybil(SybilState::new(w.labels.clone(), daily))
         }
-    })
+    }
 }
 
 /// Replay the (deterministic) churn stream once more to record each day's
@@ -454,21 +439,11 @@ fn collect_daily_follows(
 ) -> Vec<Vec<(NodeId, NodeId)>> {
     let mut stream = ChurnStream::from_graph(&dataset.graph, churn_config);
     workload.attach(&mut stream);
-    let mut daily = Vec::with_capacity(days as usize);
-    for _ in 0..days {
-        let batch = stream.next_day();
-        daily.push(
-            batch
-                .events
-                .iter()
-                .filter_map(|e| match e {
-                    ChurnEvent::Follow { source, target } => Some((*source, *target)),
-                    _ => None,
-                })
-                .collect(),
-        );
-    }
-    daily
+    let follows = |event: &ChurnEvent| match *event {
+        ChurnEvent::Follow { source, target } => Some((source, target)),
+        _ => None,
+    };
+    (0..days).map(|_| stream.next_day().events.iter().filter_map(follows).collect()).collect()
 }
 
 fn handle_register(
@@ -503,35 +478,14 @@ fn handle_register(
         Some(w) => Dataset { graph: w.graph.clone(), ..dataset },
         None => dataset,
     };
-    let temporal = match &churn {
-        Some(spec) => match build_temporal(shared, &dataset, spec, workload.as_ref()) {
-            Ok(state) => {
-                let series = state.timeline.series();
-                shared.obs.set_counter(
-                    "serve.churn_days",
-                    &[("shard", name)],
-                    state.timeline.days() as u64,
-                );
-                shared.obs.set_counter(
-                    "serve.structural_shifts",
-                    &[("shard", name)],
-                    state.timeline.shifts().len() as u64,
-                );
-                debug_assert_eq!(series.reciprocity.len(), state.timeline.days() as usize + 1);
-                Some(state)
-            }
-            Err(e) => return error_reply(&e),
-        },
-        None => None,
-    };
-    let churn_suffix = churn
-        .as_ref()
-        .map(|spec| format!(",\"churn_days\":{}", spec.days))
-        .unwrap_or_default();
-    let sybil_suffix = workload
-        .as_ref()
-        .map(|w| format!(",\"sybil_planted\":{}", w.labels.sybils().len()))
-        .unwrap_or_default();
+    let temporal = churn.as_ref().map(|spec| {
+        let state = build_temporal(shared, &dataset, spec, workload.as_ref());
+        let (days, shifts) = (state.timeline.days(), state.timeline.shifts().len());
+        shared.obs.set_counter("serve.churn_days", &[("shard", name)], days as u64);
+        shared.obs.set_counter("serve.structural_shifts", &[("shard", name)], shifts as u64);
+        debug_assert_eq!(state.timeline.series().reciprocity.len(), days as usize + 1);
+        state
+    });
     let summary = dataset.summary();
     let fingerprint = register_snapshot(shared, name, dataset, temporal);
     format!(
@@ -540,18 +494,29 @@ fn handle_register(
         fingerprint,
         summary.users,
         summary.edges,
-        churn_suffix,
-        sybil_suffix,
+        churn.map(|spec| format!(",\"churn_days\":{}", spec.days)).unwrap_or_default(),
+        workload
+            .map(|w| format!(",\"sybil_planted\":{}", w.labels.sybils().len()))
+            .unwrap_or_default(),
     )
 }
 
-fn handle_analyze(
+/// The work a request runs on its shard's executor.
+enum Job {
+    /// `analyze`: fetch or compute each section.
+    Analyze { sections: Vec<Section>, options: AnalysisOptions },
+    /// `detect`: fetch or run the sybil-detection pipeline.
+    Detect { top_k: usize },
+}
+
+/// `analyze` and `detect`: admission → shard router → executor, then wait
+/// for the worker's reply within the request budget.
+fn handle_job(
     shared: &Arc<Shared>,
     snapshot: &str,
-    sections: Vec<Section>,
-    options: AnalysisOptions,
     client: &str,
     as_of: Option<u32>,
+    job: Job,
 ) -> String {
     if shared.shutting_down.load(Ordering::SeqCst) {
         return error_reply(&VnetError::ShuttingDown);
@@ -560,10 +525,10 @@ fn handle_analyze(
     // over-quota clients are turned away at the front door with a
     // deterministic retry hint, exactly like the simulated API's
     // rate-limit windows (rejections consume no quota). Recording goes
-    // through interned handles: this path runs for every analyze
-    // request, so it must not serialize on the metrics store's lock.
+    // through interned handles: this path runs for every request, so it
+    // must not serialize on the metrics store's lock.
+    let stats = &shared.stats;
     if let Some(admission) = &shared.admission {
-        let stats = &shared.stats;
         let admission_started = Instant::now();
         let verdict = admission.try_admit(client);
         observe_since(&stats.stage_admission, admission_started);
@@ -574,11 +539,11 @@ fn handle_analyze(
         }
     }
     // Gate 2 — the shard router.
-    let shard = match shared.shards.get(snapshot) {
-        Some(s) => s,
-        None => return error_reply(&VnetError::UnknownSnapshot(snapshot.to_string())),
+    let Some(shard) = shared.shards.get(snapshot) else {
+        return error_reply(&VnetError::UnknownSnapshot(snapshot.to_string()));
     };
     let data = shard.data();
+    let detect = matches!(job, Job::Detect { .. });
     // Gate 3 — bounded admission into the shard's own executor: the
     // queue takes the job or refuses outright — a refused client can
     // back off; an unbounded queue can only fall over. Saturation here
@@ -586,9 +551,17 @@ fn handle_analyze(
     let worker_shared = Arc::clone(shared);
     let worker_shard = Arc::clone(&shard);
     let submitted = shard.executor.submit(move |cancel| {
-        compute_reply(&worker_shared, &worker_shard, &data, as_of, &sections, &options, cancel)
+        let (shared, shard) = (&worker_shared, &worker_shard);
+        let reply = match &job {
+            Job::Analyze { sections, options } => {
+                compute_reply(shared, shard, &data, as_of, sections, options, cancel)
+            }
+            Job::Detect { top_k } => {
+                compute_detect_reply(shared, shard, &data, as_of, *top_k, cancel)
+            }
+        };
+        reply.unwrap_or_else(|error_reply| error_reply)
     });
-    let stats = &shared.stats;
     let handle = match submitted {
         Ok(h) => h,
         Err(SubmitRefusal::Saturated { in_flight, limit }) => {
@@ -596,19 +569,20 @@ fn handle_analyze(
             shard.stats.rejected_queue_full.inc();
             return error_reply(&VnetError::QueueFull { in_flight, limit });
         }
-        Err(SubmitRefusal::ShuttingDown) => {
-            return error_reply(&VnetError::ShuttingDown);
-        }
+        Err(SubmitRefusal::ShuttingDown) => return error_reply(&VnetError::ShuttingDown),
     };
     stats.requests.inc();
     stats.admitted.inc();
     shard.stats.requests.inc();
+    if detect {
+        shared.obs.inc_by("serve.detect_requests", &[], 1);
+    }
     let budget = Duration::from_millis(shared.config.request_timeout_millis);
     match handle.wait_timeout(budget) {
         Some(reply) => reply,
         None => {
-            // Flag cancellation: the job stops at its next section
-            // boundary (completed sections have already warmed the cache)
+            // Flag cancellation: the job stops before its next cache
+            // lookup (completed sections have already warmed the cache)
             // instead of burning CPU invisibly.
             handle.cancel();
             shared.obs.inc("serve.rejected", &[("reason", "timeout")]);
@@ -617,12 +591,58 @@ fn handle_analyze(
     }
 }
 
-/// Fetch one section from the shard's cache, or compute it under
-/// single-flight coalescing: the first worker to miss becomes the leader
-/// and computes; concurrent workers for the same key follow the open
-/// flight and share the leader's bytes (`serve.coalesced` counts the
-/// followers). Cache and flight state are per-shard; counters are
-/// recorded both globally and under the shard's label.
+/// `Err(timeout reply)` once the job's waiter has given up. Checked before
+/// each memo lookup, never inside a fill, so no follower gets a timeout.
+fn check_cancel(shared: &Shared, cancel: &CancelToken) -> Result<(), String> {
+    if !cancel.is_cancelled() {
+        return Ok(());
+    }
+    shared.obs.inc_by("serve.cancelled_jobs", &[], 1);
+    Err(error_reply(&VnetError::Timeout { millis: shared.config.request_timeout_millis }))
+}
+
+/// Count a lookup that did not compute: a hit, or a follower that shared
+/// a concurrent leader's outcome. Leaders count through [`count_miss`].
+fn count_lookup(shared: &Shared, shard: &Shard, fill: Fill) {
+    match fill {
+        Fill::Hit => {
+            shared.stats.cache_hits.inc();
+            shard.stats.hits.inc();
+        }
+        Fill::Followed => {
+            shared.stats.coalesced.inc();
+            shard.stats.coalesced.inc();
+        }
+        Fill::Computed { .. } => {}
+    }
+}
+
+/// Count a fill leader's miss, globally and under the shard's label —
+/// first thing in the fill, so a fill that fails or panics still counts.
+fn count_miss(shared: &Shared, shard: &Shard) {
+    shared.obs.inc_by("cache.misses", &[], 1);
+    shared.obs.inc("cache.misses", &[("shard", &shard.name)]);
+}
+
+/// The dataset as of churn `day`, through the shard's day-graph memo;
+/// `serve.asof_materializations` counts the replays this call led.
+fn dataset_as_of(
+    shared: &Shared,
+    temporal: &TemporalState,
+    day: u32,
+    base: &SnapshotData,
+) -> Result<Arc<SnapshotData>, String> {
+    let (data, replayed) = temporal.day_data(day, base)?;
+    if replayed {
+        shared.stats.asof_materializations.inc();
+    }
+    Ok(data)
+}
+
+/// Fetch one section through the shard's section memo: a hit, the bytes
+/// of a concurrent leader (`serve.coalesced` counts the followers), or a
+/// computation this job leads. Counters are recorded both globally and
+/// under the shard's label.
 fn section_bytes(
     shared: &Shared,
     shard: &Shard,
@@ -630,77 +650,34 @@ fn section_bytes(
     key: CacheKey,
     options: &AnalysisOptions,
 ) -> Result<Arc<CachedSection>, String> {
-    let stats = &shared.stats;
-    let shard_label: &[(&str, &str)] = &[("shard", &shard.name)];
-    if let Some(hit) = shard.cache.lock().expect("cache lock").get(&key) {
-        stats.cache_hits.inc();
-        shard.stats.hits.inc();
-        if key.day.is_some() {
-            stats.asof_cache_hits.inc();
-        }
-        return Ok(hit);
-    }
-    match shard.flights.begin(key) {
-        Role::Follower(flight) => {
-            stats.coalesced.inc();
-            shard.stats.coalesced.inc();
-            flight.wait()
-        }
-        Role::Leader(guard) => {
-            // Re-check under leadership: a previous leader may have
-            // populated the cache between our miss and our begin().
-            if let Some(hit) = shard.cache.lock().expect("cache lock").get(&key) {
-                stats.cache_hits.inc();
-                shard.stats.hits.inc();
-                if key.day.is_some() {
-                    stats.asof_cache_hits.inc();
-                }
-                guard.publish(Ok(Arc::clone(&hit)));
-                return Ok(hit);
+    let (entry, fill) = shard.cache.get_or_fill(key, || {
+        count_miss(shared, shard);
+        let payload = run_analysis_section(&data.dataset, key.section, options, &shared.ctx)
+            .map_err(|e| error_reply(&e))?;
+        let payload_json = serde_json::to_string(&payload).expect("section payloads serialize");
+        Ok(Arc::new(CachedSection::new(payload_json)))
+    });
+    count_lookup(shared, shard, fill);
+    match fill {
+        Fill::Hit if key.day.is_some() => shared.stats.asof_cache_hits.inc(),
+        Fill::Computed { evicted } if entry.is_ok() => {
+            let shard_label: &[(&str, &str)] = &[("shard", &shard.name)];
+            if evicted > 0 {
+                shared.obs.inc_by("cache.evictions", &[], evicted as u64);
+                shared.obs.inc_by("cache.evictions", shard_label, evicted as u64);
             }
-            shared.obs.inc_by("cache.misses", &[], 1);
-            shared.obs.inc("cache.misses", shard_label);
-            let payload =
-                match run_analysis_section(&data.dataset, key.section, options, &shared.ctx) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        let reply = error_reply(&e);
-                        guard.publish(Err(reply.clone()));
-                        return Err(reply);
-                    }
-                };
-            let payload_json =
-                serde_json::to_string(&payload).expect("section payloads serialize");
-            let fingerprint = fingerprint_str(&payload_json);
-            let fresh = Arc::new(CachedSection { payload_json, fingerprint });
-            let value = {
-                let mut cache = shard.cache.lock().expect("cache lock");
-                let (value, evicted) = cache.insert(key, fresh);
-                if evicted > 0 {
-                    shared.obs.inc_by("cache.evictions", &[], evicted as u64);
-                    shared.obs.inc_by("cache.evictions", shard_label, evicted as u64);
-                }
-                shared.obs.set_counter("cache.entries", shard_label, cache.len() as u64);
-                value
-            };
-            // The unlabelled total sums every shard's cache (locks taken
-            // one at a time, after this shard's guard is released).
-            let total: usize = shared
-                .shards
-                .all()
-                .iter()
-                .map(|s| s.cache.lock().expect("cache lock").len())
-                .sum();
+            shared.obs.set_counter("cache.entries", shard_label, shard.cache.len() as u64);
+            // The unlabelled total sums every shard's section cache.
+            let total: usize = shared.shards.all().iter().map(|s| s.cache.len()).sum();
             shared.obs.set_counter("cache.entries", &[], total as u64);
-            guard.publish(Ok(Arc::clone(&value)));
-            Ok(value)
         }
+        _ => {}
     }
+    entry
 }
 
 /// Compute (or fetch) every requested section and assemble the reply.
-/// Runs on a shard executor worker; `cancel` is checked at section
-/// boundaries.
+/// Runs on a shard executor worker.
 fn compute_reply(
     shared: &Shared,
     shard: &Shard,
@@ -709,7 +686,7 @@ fn compute_reply(
     sections: &[Section],
     options: &AnalysisOptions,
     cancel: &CancelToken,
-) -> String {
+) -> Result<String, String> {
     // Time-travel: swap in the day-`as_of` dataset. Resolution happens
     // here, on the executor worker, so a cold replay is covered by the
     // request timeout and cancellable like any other heavy work.
@@ -717,41 +694,25 @@ fn compute_reply(
     let data: &SnapshotData = match as_of {
         None => base,
         Some(day) => {
-            let Some(temporal) = shard.temporal() else {
-                return error_reply(&VnetError::InvalidInput(format!(
+            let temporal = shard.temporal().ok_or_else(|| {
+                error_reply(&VnetError::InvalidInput(format!(
                     "snapshot '{}' has no churn timeline; register it with churn_days to use as_of",
                     shard.name,
-                )));
-            };
-            match temporal.day_data(day, base) {
-                Ok((resolved, materialized)) => {
-                    if materialized {
-                        shared.stats.asof_materializations.inc();
-                    }
-                    day_data = resolved;
-                    &day_data
-                }
-                Err(e) => return error_reply(&e),
-            }
+                )))
+            })?;
+            check_cancel(shared, cancel)?;
+            day_data = dataset_as_of(shared, &temporal, day, base)?;
+            &day_data
         }
     };
     let opts_fp = options.fingerprint();
     let mut parts = Vec::with_capacity(sections.len());
     for &section in sections {
-        if cancel.is_cancelled() {
-            // The waiter is gone (request timeout); stop doing work. Any
-            // sections already computed have warmed the cache.
-            shared.obs.inc_by("serve.cancelled_jobs", &[], 1);
-            return error_reply(&VnetError::Timeout {
-                millis: shared.config.request_timeout_millis,
-            });
-        }
+        // Sections computed before a cancellation have warmed the cache.
+        check_cancel(shared, cancel)?;
         let key =
             CacheKey { dataset: data.fingerprint, options: opts_fp, section, day: as_of };
-        let entry = match section_bytes(shared, shard, data, key, options) {
-            Ok(entry) => entry,
-            Err(error_reply) => return error_reply,
-        };
+        let entry = section_bytes(shared, shard, data, key, options)?;
         parts.push(format!(
             "{{\"section\":{},\"fingerprint\":{},\"payload\":{}}}",
             json_str(section.id()),
@@ -761,83 +722,21 @@ fn compute_reply(
     }
     let as_of_field =
         as_of.map(|day| format!(",\"as_of\":{day}")).unwrap_or_default();
-    format!(
+    Ok(format!(
         "{{\"ok\":true,\"snapshot\":{}{},\"dataset_fingerprint\":{},\"options_fingerprint\":{},\"sections\":[{}]}}",
         json_str(&shard.name),
         as_of_field,
         data.fingerprint,
         opts_fp,
         parts.join(","),
-    )
+    ))
 }
 
-/// `detect`: the same admission → shard-router → executor path as
-/// `analyze`, running the sybil-detection pipeline instead of analysis
-/// sections. Requires the snapshot to have been registered with
-/// `sybil:true` (and therefore `churn_days`).
-fn handle_detect(
-    shared: &Arc<Shared>,
-    snapshot: &str,
-    client: &str,
-    as_of: Option<u32>,
-    top_k: usize,
-) -> String {
-    if shared.shutting_down.load(Ordering::SeqCst) {
-        return error_reply(&VnetError::ShuttingDown);
-    }
-    if let Some(admission) = &shared.admission {
-        let stats = &shared.stats;
-        let admission_started = Instant::now();
-        let verdict = admission.try_admit(client);
-        observe_since(&stats.stage_admission, admission_started);
-        if let Err(retry_after_ms) = verdict {
-            stats.rejected_rate_limited.inc();
-            stats.retry_after_ms.observe(retry_after_ms);
-            return error_reply(&VnetError::RateLimited { retry_after_ms });
-        }
-    }
-    let shard = match shared.shards.get(snapshot) {
-        Some(s) => s,
-        None => return error_reply(&VnetError::UnknownSnapshot(snapshot.to_string())),
-    };
-    let data = shard.data();
-    let worker_shared = Arc::clone(shared);
-    let worker_shard = Arc::clone(&shard);
-    let submitted = shard.executor.submit(move |cancel| {
-        compute_detect_reply(&worker_shared, &worker_shard, &data, as_of, top_k, cancel)
-    });
-    let stats = &shared.stats;
-    let handle = match submitted {
-        Ok(h) => h,
-        Err(SubmitRefusal::Saturated { in_flight, limit }) => {
-            stats.rejected_queue_full.inc();
-            shard.stats.rejected_queue_full.inc();
-            return error_reply(&VnetError::QueueFull { in_flight, limit });
-        }
-        Err(SubmitRefusal::ShuttingDown) => {
-            return error_reply(&VnetError::ShuttingDown);
-        }
-    };
-    stats.requests.inc();
-    stats.admitted.inc();
-    shard.stats.requests.inc();
-    shared.obs.inc_by("serve.detect_requests", &[], 1);
-    let budget = Duration::from_millis(shared.config.request_timeout_millis);
-    match handle.wait_timeout(budget) {
-        Some(reply) => reply,
-        None => {
-            handle.cancel();
-            shared.obs.inc("serve.rejected", &[("reason", "timeout")]);
-            error_reply(&VnetError::Timeout { millis: shared.config.request_timeout_millis })
-        }
-    }
-}
-
-/// Run (or serve from the per-shard detect cache) the detection pipeline
-/// as of churn day `as_of` (default: the full horizon). Runs on a shard
-/// executor worker. The cache key is `(day, top_k)` — the base dataset,
-/// planted workload, and churn replay are all fixed at registration, so
-/// day and reply depth are the only free inputs.
+/// Run (or fetch from the shard's detect memo) the detection pipeline as
+/// of churn day `as_of` (default: the full horizon), on a shard executor
+/// worker, for a snapshot registered with `sybil:true`. The memo key is
+/// `(day, top_k)`: the base dataset, planted workload, and churn replay
+/// are all fixed at registration.
 fn compute_detect_reply(
     shared: &Shared,
     shard: &Shard,
@@ -845,68 +744,45 @@ fn compute_detect_reply(
     as_of: Option<u32>,
     top_k: usize,
     cancel: &CancelToken,
-) -> String {
+) -> Result<String, String> {
     let no_workload = || {
         error_reply(&VnetError::InvalidInput(format!(
             "snapshot '{}' has no sybil workload; register it with \"sybil\":true and churn_days",
             shard.name,
         )))
     };
-    let Some(temporal) = shard.temporal() else {
-        return no_workload();
-    };
-    let Some(sybil) = temporal.sybil.as_ref() else {
-        return no_workload();
-    };
+    let temporal = shard.temporal().ok_or_else(no_workload)?;
+    let sybil = temporal.sybil.as_ref().ok_or_else(no_workload)?;
     let horizon = temporal.timeline.days();
     let day = as_of.unwrap_or(horizon);
     if day > horizon {
-        return error_reply(&VnetError::InvalidInput(format!(
+        return Err(error_reply(&VnetError::InvalidInput(format!(
             "as_of day {day} is beyond the churn horizon ({horizon} days)"
-        )));
+        ))));
     }
-    let envelope = |value: &CachedSection| {
-        format!(
-            "{{\"ok\":true,\"snapshot\":{},\"as_of\":{},\"top_k\":{},\"fingerprint\":{},\"detect\":{}}}",
-            json_str(&shard.name),
-            day,
-            top_k,
-            value.fingerprint,
-            value.payload_json,
-        )
-    };
-    let cached = sybil.cache.lock().expect("detect cache lock").get(&(day, top_k));
-    if let Some(hit) = cached {
-        shared.stats.cache_hits.inc();
-        shard.stats.hits.inc();
-        return envelope(&hit);
-    }
-    if cancel.is_cancelled() {
-        shared.obs.inc_by("serve.cancelled_jobs", &[], 1);
-        return error_reply(&VnetError::Timeout {
-            millis: shared.config.request_timeout_millis,
-        });
-    }
-    shared.obs.inc_by("cache.misses", &[], 1);
-    shared.obs.inc("cache.misses", &[("shard", &shard.name)]);
-    let (data, materialized) = match temporal.day_data(day, base) {
-        Ok(resolved) => resolved,
-        Err(e) => return error_reply(&e),
-    };
-    if materialized {
-        shared.stats.asof_materializations.inc();
-    }
-    let input = DetectInput {
-        graph: &data.dataset.graph,
-        daily_follows: &sybil.daily_follows[..day as usize],
-    };
-    let report = run_detection(&input, &DetectConfig::default(), &shared.ctx);
-    let eval = evaluate(&report, &sybil.labels.sybils());
-    let payload_json = render_detect_payload(&report, &eval, data.fingerprint, top_k);
-    let fingerprint = fingerprint_str(&payload_json);
-    let fresh = Arc::new(CachedSection { payload_json, fingerprint });
-    let (value, _) = sybil.cache.lock().expect("detect cache lock").insert((day, top_k), fresh);
-    envelope(&value)
+    check_cancel(shared, cancel)?;
+    let (value, fill) = sybil.cache.get_or_fill((day, top_k), || {
+        count_miss(shared, shard);
+        let data = dataset_as_of(shared, &temporal, day, base)?;
+        let input = DetectInput {
+            graph: &data.dataset.graph,
+            daily_follows: &sybil.daily_follows[..day as usize],
+        };
+        let report = run_detection(&input, &DetectConfig::default(), &shared.ctx);
+        let eval = evaluate(&report, &sybil.labels.sybils());
+        let payload_json = render_detect_payload(&report, &eval, data.fingerprint, top_k);
+        Ok(Arc::new(CachedSection::new(payload_json)))
+    });
+    count_lookup(shared, shard, fill);
+    let value = value?;
+    Ok(format!(
+        "{{\"ok\":true,\"snapshot\":{},\"as_of\":{},\"top_k\":{},\"fingerprint\":{},\"detect\":{}}}",
+        json_str(&shard.name),
+        day,
+        top_k,
+        value.fingerprint,
+        value.payload_json,
+    ))
 }
 
 /// Deterministic JSON rendering of a detection run: the fit parameters,
@@ -997,8 +873,8 @@ fn shard_status_json(shard: &Shard) -> String {
         shard.executor.workers(),
         queued,
         running,
-        shard.flights.open_count(),
-        shard.cache.lock().expect("cache lock").len(),
+        shard.cache.open_flights(),
+        shard.cache.len(),
         temporal,
     )
 }
@@ -1024,8 +900,8 @@ fn handle_status(shared: &Shared, snapshot: Option<&str>) -> String {
         let (q, r) = shard.executor.in_flight();
         queued += q;
         running += r;
-        flights += shard.flights.open_count();
-        cache_entries += shard.cache.lock().expect("cache lock").len();
+        flights += shard.cache.open_flights();
+        cache_entries += shard.cache.len();
         shard_parts.push(shard_status_json(shard));
     }
     // With self-monitoring on, the global status carries the ring size
@@ -1060,24 +936,24 @@ fn has_shard_label(key: &str, shard: &str) -> bool {
     })
 }
 
+/// `series` restricted to one shard's labelled keys (all of it for
+/// `None`) — the one shard filter of every metrics reply.
+fn shard_series<V>(series: BTreeMap<String, V>, snapshot: Option<&str>) -> BTreeMap<String, V> {
+    match snapshot {
+        Some(name) => series.into_iter().filter(|(k, _)| has_shard_label(k, name)).collect(),
+        None => series,
+    }
+}
+
 /// Snapshot the metrics store into counter/gauge maps, optionally
 /// filtered to one shard's labelled series. Shared by the `metrics`
 /// reply and the `watch` delta stream.
 pub(crate) fn metric_maps(
     shared: &Shared,
     snapshot: Option<&str>,
-) -> (
-    std::collections::BTreeMap<String, u64>,
-    std::collections::BTreeMap<String, f64>,
-) {
+) -> (BTreeMap<String, u64>, BTreeMap<String, f64>) {
     let metrics = shared.obs.metrics();
-    let keep = |k: &str| match snapshot {
-        Some(name) => has_shard_label(k, name),
-        None => true,
-    };
-    let counters = metrics.counters().into_iter().filter(|(k, _)| keep(k)).collect();
-    let gauges = metrics.gauges().into_iter().filter(|(k, _)| keep(k)).collect();
-    (counters, gauges)
+    (shard_series(metrics.counters(), snapshot), shard_series(metrics.gauges(), snapshot))
 }
 
 fn handle_metrics(shared: &Shared, snapshot: Option<&str>, format: MetricsFormat) -> String {
@@ -1092,14 +968,11 @@ fn handle_metrics(shared: &Shared, snapshot: Option<&str>, format: MetricsFormat
         // here (the JSON format predates them and keeps its exact
         // shape).
         let metrics = shared.obs.metrics();
-        let keep = |k: &str| match snapshot {
-            Some(name) => has_shard_label(k, name),
-            None => true,
-        };
-        let counters = metrics.counters().into_iter().filter(|(k, _)| keep(k)).collect();
-        let gauges = metrics.gauges().into_iter().filter(|(k, _)| keep(k)).collect();
-        let histograms = metrics.histograms().into_iter().filter(|(k, _)| keep(k)).collect();
-        let body = render_prometheus_parts(&counters, &gauges, &histograms);
+        let body = render_prometheus_parts(
+            &shard_series(metrics.counters(), snapshot),
+            &shard_series(metrics.gauges(), snapshot),
+            &shard_series(metrics.histograms(), snapshot),
+        );
         return format!("{{\"ok\":true,\"format\":\"prom\",\"body\":{}}}", json_str(&body));
     }
     // The metric maps are BTreeMaps: sorted keys, so the reply is

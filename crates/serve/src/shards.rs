@@ -1,12 +1,11 @@
 //! The sharded snapshot registry.
 //!
 //! Every registered snapshot name is a **shard**: its own bounded-queue
-//! worker-pool [`Executor`], its own section cache, and its own
-//! single-flight [`FlightMap`]. Work for one snapshot therefore queues,
-//! caches, and coalesces entirely inside its shard — a hot snapshot can
-//! saturate its own queue (`queue_full` for *its* clients) without
-//! starving requests to any other snapshot, which is the isolation
-//! property `tests/tests/serve_shards.rs` pins.
+//! worker-pool [`Executor`] and its own caches. Work for one snapshot
+//! therefore queues, caches, and coalesces entirely inside its shard — a
+//! hot snapshot can saturate its own queue (`queue_full` for *its*
+//! clients) without starving requests to any other snapshot, which is the
+//! isolation property `tests/tests/serve_shards.rs` pins.
 //!
 //! Re-registering a name swaps the dataset inside the existing shard and
 //! keeps its pools warm; stale cache entries age out by LRU because cache
@@ -16,8 +15,9 @@
 //! each other there — the scarce resources a shard isolates are queue
 //! slots and worker threads.
 //!
-//! A shard keeps up to three caches, each a `Mutex<Lru<…>>` over the one
-//! [`Lru`] type, each with its own capacity so one kind of value never
+//! A shard keeps up to three caches, each a [`Memo`] — an LRU whose misses
+//! fill under single-flight coalescing, so concurrent misses of one key
+//! compute once — each with its own capacity so one kind of value never
 //! evicts another:
 //!
 //! | cache | key → value | capacity |
@@ -35,9 +35,9 @@ use vnet_obs::Obs;
 use vnet_synth::PlantedLabels;
 use vnet_temporal::Timeline;
 
-use crate::cache::{CacheKey, CachedSection, Lru};
+use crate::cache::{CacheKey, CachedSection, Fill, Memo};
 use crate::executor::{Executor, ExecutorTelemetry};
-use crate::flight::FlightMap;
+use crate::protocol::error_reply;
 use crate::stats::ShardStats;
 
 /// Materialized day-graphs kept hot per temporal shard. Small on purpose:
@@ -108,7 +108,7 @@ pub(crate) struct SybilState {
     /// day `d + 1`, in event order — the burst scorer's attribution.
     pub(crate) daily_follows: Vec<Vec<(NodeId, NodeId)>>,
     /// Rendered `detect` payloads keyed `(day, top_k)`.
-    pub(crate) cache: Mutex<Lru<(u32, usize), Arc<CachedSection>>>,
+    pub(crate) cache: Memo<(u32, usize), Arc<CachedSection>>,
 }
 
 impl SybilState {
@@ -116,7 +116,7 @@ impl SybilState {
         labels: PlantedLabels,
         daily_follows: Vec<Vec<(NodeId, NodeId)>>,
     ) -> Self {
-        Self { labels, daily_follows, cache: Mutex::new(Lru::new(DETECT_CACHE_CAPACITY)) }
+        Self { labels, daily_follows, cache: Memo::new(DETECT_CACHE_CAPACITY) }
     }
 }
 
@@ -129,12 +129,12 @@ pub(crate) struct TemporalState {
     pub(crate) seed: u64,
     /// Planted sybil workload, when registered with `sybil:true`.
     pub(crate) sybil: Option<Arc<SybilState>>,
-    day_cache: Mutex<Lru<u32, Arc<SnapshotData>>>,
+    day_cache: Memo<u32, Arc<SnapshotData>>,
 }
 
 impl TemporalState {
     pub(crate) fn new(timeline: Timeline, seed: u64) -> Self {
-        Self { timeline, seed, sybil: None, day_cache: Mutex::new(Lru::new(DAY_CACHE_CAPACITY)) }
+        Self { timeline, seed, sybil: None, day_cache: Memo::new(DAY_CACHE_CAPACITY) }
     }
 
     /// Attach the planted workload's ground truth and attribution.
@@ -144,29 +144,22 @@ impl TemporalState {
     }
 
     /// The dataset as of end of churn `day`: the base snapshot with its
-    /// graph replaced by the timeline's materialization. Returns the data
-    /// plus whether a fresh materialization was required (`true` = the
-    /// day-cache missed and a replay ran).
+    /// graph replaced by the timeline's materialization, plus whether this
+    /// call replayed the day (concurrent callers of one uncached day wait
+    /// for a single replay). An error is the serialized error reply.
     pub(crate) fn day_data(
         &self,
         day: u32,
         base: &SnapshotData,
-    ) -> Result<(Arc<SnapshotData>, bool), VnetError> {
-        if let Some(hit) = self.day_cache.lock().expect("day cache lock").get(&day) {
-            return Ok((hit, false));
-        }
-        // Materialize outside the cache lock: replays take milliseconds
-        // and concurrent requests for *different* days shouldn't serialize.
-        let graph = self
-            .timeline
-            .graph_as_of(day)
-            .map_err(VnetError::InvalidInput)?;
-        let data = Arc::new(base.with_graph(graph));
-        // A concurrent materialization of the same day may have won the
-        // race; the insert then hands back its copy so all readers share
-        // one allocation (this call still paid for a replay).
-        let (data, _) = self.day_cache.lock().expect("day cache lock").insert(day, data);
-        Ok((data, true))
+    ) -> Result<(Arc<SnapshotData>, bool), String> {
+        // The replay runs outside the memo's locks: it takes milliseconds,
+        // and requests for *different* days shouldn't serialize.
+        let (data, fill) = self.day_cache.get_or_fill(day, || {
+            let graph = self.timeline.graph_as_of(day);
+            let graph = graph.map_err(|message| error_reply(&VnetError::InvalidInput(message)))?;
+            Ok(Arc::new(base.with_graph(graph)))
+        });
+        Ok((data?, matches!(fill, Fill::Computed { .. })))
     }
 }
 
@@ -176,8 +169,9 @@ pub(crate) struct Shard {
     data: Mutex<Arc<SnapshotData>>,
     temporal: Mutex<Option<Arc<TemporalState>>>,
     pub(crate) executor: Executor,
-    pub(crate) cache: Mutex<Lru<CacheKey, Arc<CachedSection>>>,
-    pub(crate) flights: Arc<FlightMap>,
+    /// The section cache; its open flights and entries are what `status`
+    /// and `cache.entries` report.
+    pub(crate) cache: Memo<CacheKey, Arc<CachedSection>>,
     /// This shard's labelled hot-path counters (interned once here; the
     /// request path records through them lock-free).
     pub(crate) stats: ShardStats,
@@ -198,8 +192,7 @@ impl Shard {
                 name,
                 exec_telemetry,
             ),
-            cache: Mutex::new(Lru::new(limits.cache_capacity)),
-            flights: Arc::new(FlightMap::new()),
+            cache: Memo::new(limits.cache_capacity),
         }
     }
 
@@ -237,7 +230,7 @@ impl ShardRegistry {
 
     /// Register (or refresh) `name` with an already fingerprinted
     /// snapshot, returning its fingerprint. First registration builds the
-    /// shard's executor/cache/flights; re-registration swaps the dataset
+    /// shard's executor and section cache; re-registration swaps the dataset
     /// and keeps the pools warm. The registry lock is held only for the
     /// lookup and the insert or swap: hashing happened in
     /// [`SnapshotData::new`].
@@ -305,15 +298,15 @@ mod tests {
 
         // Warm the cache, then re-register: the shard object (and its
         // cache) survives, only the dataset handle is swapped.
-        shard.cache.lock().expect("cache").insert(
-            CacheKey { dataset: fp, options: 1, section: verified_net::Section::Basic, day: None },
-            Arc::new(CachedSection { payload_json: "{}".to_string(), fingerprint: 0 }),
-        );
+        let key =
+            CacheKey { dataset: fp, options: 1, section: verified_net::Section::Basic, day: None };
+        let warm = || Ok(Arc::new(CachedSection::new("{}".to_string())));
+        assert!(shard.cache.get_or_fill(key, warm).0.is_ok());
         let fp2 = registry.register("a", SnapshotData::new(ds), None, LIMITS, &obs);
         assert_eq!(fp2, fp);
         let again = registry.get("a").expect("shard exists");
         assert!(Arc::ptr_eq(&shard, &again), "re-register rebuilt the shard");
-        assert_eq!(again.cache.lock().expect("cache").len(), 1, "cache was dropped");
+        assert_eq!(again.cache.len(), 1, "cache was dropped");
         assert_eq!(obs.metrics().counter("serve.snapshots", &[]), 1);
 
         // Shutdown the executor so its worker threads are joined.
@@ -348,18 +341,19 @@ mod tests {
         for (day, fresh) in [(1, false), (3, false), (4, false), (5, false), (2, true)] {
             assert_eq!(fetch(day).1, fresh, "day {day}");
         }
-        // Day 2 evicted day 1. Day 6 evicts day 3; a racing
-        // materialization of the resident day 2 keeps the first copy.
+        // Day 2 evicted day 1. Day 6 evicts day 3; a fill of the resident
+        // day 2 keeps the first copy and never computes.
         let (resident, _) = fetch(2);
         let (racer, _) = fetch(6);
-        let kept = temporal.day_cache.lock().expect("day cache").insert(2, racer).0;
-        assert!(Arc::ptr_eq(&kept, &resident));
+        let (kept, fill) = temporal.day_cache.get_or_fill(2, || Ok(racer));
+        assert!(Arc::ptr_eq(&kept.expect("day 2 resident"), &resident));
+        assert_eq!(fill, Fill::Hit);
         // A failed lookup inserts nothing: the resident days stay put.
         assert!(temporal.day_data(7, &base).is_err(), "day 7 is beyond the horizon");
         for day in [4, 5, 6, 2] {
             assert!(!fetch(day).1, "day {day} was evicted");
         }
-        assert_eq!(temporal.day_cache.lock().expect("day cache").len(), DAY_CACHE_CAPACITY);
+        assert_eq!(temporal.day_cache.len(), DAY_CACHE_CAPACITY);
     }
 
     #[test]
@@ -403,29 +397,35 @@ mod tests {
         let labels =
             PlantedLabels { ring_members: vec![], burst_accounts: vec![], customers: vec![] };
         let sybil = SybilState::new(labels, vec![]);
-        let mut cache = sybil.cache.lock().expect("detect cache");
-        let reply = |day: u32| {
-            Arc::new(CachedSection { payload_json: format!("day{day}"), fingerprint: 0 })
+        let cache = &sybil.cache;
+        let fill = |day: u32| {
+            let reply = || Ok(Arc::new(CachedSection::new(format!("day{day}"))));
+            let (reply, fill) = cache.get_or_fill((day, 20), reply);
+            (reply.expect("rendered"), fill)
         };
+        // A key that is not resident: its fill computes, fails, and so
+        // inserts nothing.
+        let absent = |key| cache.get_or_fill(key, || Err(String::new())).1 != Fill::Hit;
         for day in 0..8 {
-            assert_eq!(cache.insert((day, 20), reply(day)).1, 0);
+            assert_eq!(fill(day).1, Fill::Computed { evicted: 0 });
         }
-        // `top_k` is part of the key, and a get miss inserts nothing.
-        assert!(cache.get(&(0, 3)).is_none());
+        // `top_k` is part of the key, and a miss that fails inserts nothing.
+        assert!(absent((0, 3)));
         assert_eq!(cache.len(), 8);
         // Touch day 0: day 1 becomes the victim, then day 2.
-        let first = cache.get(&(0, 20)).expect("day 0 resident");
-        assert_eq!(cache.insert((8, 20), reply(8)).1, 1);
-        assert!(cache.get(&(1, 20)).is_none());
-        assert_eq!(cache.insert((9, 20), reply(9)).1, 1);
-        assert!(cache.get(&(2, 20)).is_none());
+        let (first, touched) = fill(0);
+        assert_eq!(touched, Fill::Hit, "day 0 resident");
+        assert_eq!(fill(8).1, Fill::Computed { evicted: 1 });
+        assert!(absent((1, 20)));
+        assert_eq!(fill(9).1, Fill::Computed { evicted: 1 });
+        assert!(absent((2, 20)));
         for day in [0, 3, 4, 5, 6, 7, 8, 9] {
-            assert!(cache.get(&(day, 20)).is_some(), "day {day} evicted out of order");
+            assert_eq!(fill(day).1, Fill::Hit, "day {day} evicted out of order");
         }
-        // A duplicate insert keeps the first rendering.
-        let (kept, evicted) = cache.insert((0, 20), reply(0));
+        // A repeat fill keeps the first rendering.
+        let (kept, again) = fill(0);
         assert!(Arc::ptr_eq(&kept, &first));
-        assert_eq!((evicted, cache.len()), (0, 8));
+        assert_eq!((again, cache.len()), (Fill::Hit, 8));
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub const STAGES: [&str; 5] = ["framing", "admission", "queue", "execute", "writ
 
 /// Global (unlabelled) hot-path handles plus the stage histograms.
 pub(crate) struct ServeStats {
-    /// `serve.requests` — admitted analyze requests (global).
+    /// `serve.requests` — admitted `analyze` and `detect` requests (global).
     pub(crate) requests: Counter,
     /// `serve.admitted` — same population, kept for the admission tests'
     /// contract.

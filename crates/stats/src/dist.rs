@@ -8,11 +8,6 @@
 use crate::special::{beta_inc, erf, erfc, gamma_p, gamma_q, ln_factorial};
 use rand::Rng;
 
-/// Standard normal PDF `φ(z)`.
-pub fn norm_pdf(z: f64) -> f64 {
-    (-0.5 * z * z).exp() / (2.0 * std::f64::consts::PI).sqrt()
-}
-
 /// Standard normal CDF `Φ(z)`, full tail precision via `erfc`.
 pub fn norm_cdf(z: f64) -> f64 {
     0.5 * erfc(-z / std::f64::consts::SQRT_2)

@@ -146,23 +146,6 @@ impl LogHistogram {
     pub fn bins(&self) -> usize {
         self.counts.len()
     }
-
-    /// `(geometric center, density)` series where density divides the count
-    /// by the bin width — the correct normalization for log-binned
-    /// power-law plots.
-    pub fn density_series(&self) -> Vec<(f64, f64)> {
-        let total: u64 = self.counts.iter().sum();
-        if total == 0 {
-            return Vec::new();
-        }
-        (0..self.bins())
-            .filter(|&i| self.counts[i] > 0)
-            .map(|i| {
-                let width = self.edge(i + 1) - self.edge(i);
-                (self.center(i), self.counts[i] as f64 / (total as f64 * width))
-            })
-            .collect()
-    }
 }
 
 /// Empirical complementary CDF of positive data: `(x, P(X >= x))` at each

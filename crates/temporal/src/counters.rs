@@ -255,11 +255,6 @@ impl StructuralCounters {
         &self.in_deg
     }
 
-    /// Undirected degree per node (live).
-    pub fn undirected_degrees(&self) -> &[u64] {
-        &self.und_deg
-    }
-
     /// Positive out-degrees in node order — the power-law refit input.
     pub fn positive_out_degrees(&self) -> Vec<u64> {
         self.out_deg.iter().copied().filter(|&d| d > 0).collect()

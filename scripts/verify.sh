@@ -74,7 +74,8 @@
 #                             temporal, serve-soak, sybil, obs-bench and
 #                             graph-scale lanes,
 #                             workspace clippy and rustdoc with warnings
-#                             denied, and the grep lints that keep deleted
+#                             denied, a compile check of the criterion
+#                             benches, and the grep lints that keep deleted
 #                             APIs deleted (no *_observed entrypoint, no
 #                             #[deprecated] item, no unversioned-envelope
 #                             support, see the migration table in
@@ -89,7 +90,10 @@
 #                             store: no merge step, no capacity knob,
 #                             and no second section dispatcher: no
 #                             fn sec_* in crates/core/src/, no
-#                             run_analysis( call in repro)
+#                             run_analysis( call in repro; and one fill
+#                             path in serve: no flight table or locked Lru
+#                             outside the memo's module, one
+#                             executor.submit( in server.rs)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -218,6 +222,9 @@ full)
     "$0" graph-scale
     cargo clippy --workspace -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+    # EXPERIMENTS.md quotes the criterion benches' ablations; no lane runs
+    # them, so at least keep them compiling.
+    cargo check -q -p vnet-bench --benches
     # The 0.2 API contract: observed/plain function splits are dead and
     # the one-release compat shims were deleted with the v1 envelope —
     # no `#[deprecated]` item and no *_observed entrypoint may reappear
@@ -304,6 +311,16 @@ full)
         || grep -rn --include='*.rs' -E 'fn sec_' crates/core/src/; then
         echo "error: a second section dispatcher or a second battery run in repro reappeared" >&2
         echo "       (compute sections through run_analysis_section; assemble with AnalysisReport::from_sections)" >&2
+        exit 1
+    fi
+    # One fill path in serve: the section, day-graph and detect caches are
+    # each a Memo (crates/serve/src/cache.rs), the only code that locks an
+    # Lru or opens a flight; analyze and detect share one executor.submit(.
+    if grep -rn --include='*.rs' -E 'FlightMap|Role::(Leader|Follower)|Mutex<Lru' crates/serve/src/ \
+        | grep -v -E '^crates/serve/src/cache(\.rs|/)' \
+        || [ "$(grep -c -F 'executor.submit(' crates/serve/src/server.rs)" -gt 1 ]; then
+        echo "error: a second cache-fill path or a second request path reappeared in vnet-serve" >&2
+        echo "       (fill through Memo::get_or_fill; run analyze and detect through handle_job)" >&2
         exit 1
     fi
     ;;

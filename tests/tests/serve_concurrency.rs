@@ -1,7 +1,7 @@
 //! Concurrency battery for the rebuilt `vnet-serve` execution layer.
 //!
-//! Pins the three behaviours the executor/framing/single-flight redesign
-//! exists for:
+//! Pins the behaviours the executor/framing/single-flight redesign exists
+//! for:
 //!
 //! 1. **Slow writers lose no bytes** — a request trickled across many
 //!    read-timeout ticks still parses (the regression that motivated the
@@ -10,6 +10,9 @@
 //! 2. **Single-flight coalescing** — concurrent identical requests on a
 //!    cold cache compute once (`serve.coalesced == 1`) and both replies
 //!    are byte-identical to the batch `run_analysis_section` fingerprint.
+//!    Day graphs and `detect` replies fill through the same memo: four
+//!    concurrent identical `detect`s run detection once, and four
+//!    sections as of one uncached day replay that day once.
 //! 3. **Event-driven drain** — shutdown under in-flight load answers every
 //!    admitted request, refuses late ones with `shutting_down`, and
 //!    drains on a condvar (`serve.drain_wakeups` stays a handful, where a
@@ -17,7 +20,7 @@
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::{Barrier, OnceLock};
+use std::sync::{Arc, Barrier, OnceLock};
 use std::time::Duration;
 
 use verified_net::{
@@ -38,6 +41,54 @@ fn start(config: ServerConfig) -> ServerHandle {
 
 fn counter(handle: &ServerHandle, name: &str) -> u64 {
     handle.obs_handle().metrics().counter(name, &[])
+}
+
+/// A server with one `small` shard, `adv`, registered with a 30-day churn
+/// timeline and the planted sybil workload, so it answers `as_of` and
+/// `detect`.
+fn start_adversarial() -> ServerHandle {
+    let handle = start(ServerConfig::default());
+    let mut c = LineClient::connect(handle.local_addr());
+    let reg = c.req(
+        r#"{"v":1,"cmd":"register","name":"adv","scale":"small","churn_days":30,"churn_seed":23,"sybil":true}"#,
+    );
+    assert!(reg.starts_with(r#"{"ok":true"#), "register failed: {reg}");
+    handle
+}
+
+/// Send each line on a connection of its own, all released by one
+/// barrier, and return the replies in line order.
+fn send_together(handle: &ServerHandle, lines: Vec<String>) -> Vec<String> {
+    let addr = handle.local_addr();
+    let barrier = Arc::new(Barrier::new(lines.len()));
+    let clients: Vec<_> = lines
+        .into_iter()
+        .map(|line| {
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let mut c = LineClient::connect(addr);
+                barrier.wait();
+                c.req(&line)
+            })
+        })
+        .collect();
+    clients.into_iter().map(|t| t.join().expect("client thread")).collect()
+}
+
+/// `(cache.misses{shard=adv}, cache.misses, serve.coalesced,
+/// serve.asof_materializations)` right now.
+fn fill_counters(handle: &ServerHandle) -> [u64; 4] {
+    let metrics = handle.obs_handle().metrics();
+    [
+        metrics.counter("cache.misses", &[("shard", "adv")]),
+        metrics.counter("cache.misses", &[]),
+        metrics.counter("serve.coalesced", &[]),
+        metrics.counter("serve.asof_materializations", &[]),
+    ]
+}
+
+fn since(after: [u64; 4], before: [u64; 4]) -> [u64; 4] {
+    std::array::from_fn(|i| after[i] - before[i])
 }
 
 /// The headline regression: one request written byte-by-byte with gaps
@@ -75,23 +126,10 @@ fn slow_writer_request_survives_read_timeout_ticks() {
 fn concurrent_identical_requests_coalesce_to_one_computation() {
     let handle = start(ServerConfig::default());
     handle.register_dataset("s", dataset().clone());
-    let addr = handle.local_addr();
 
     let analyze =
         r#"{"v":1,"cmd":"analyze","snapshot":"s","sections":["centrality"],"options":{"seed":42}}"#;
-    let barrier = std::sync::Arc::new(Barrier::new(2));
-    let clients: Vec<_> = (0..2)
-        .map(|_| {
-            let barrier = std::sync::Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                let mut c = LineClient::connect(addr);
-                barrier.wait();
-                c.req(analyze)
-            })
-        })
-        .collect();
-    let replies: Vec<String> =
-        clients.into_iter().map(|t| t.join().expect("client thread")).collect();
+    let replies = send_together(&handle, vec![analyze.to_string(); 2]);
 
     assert_eq!(replies[0], replies[1], "coalesced reply diverged from the leader's");
     assert_eq!(
@@ -115,6 +153,48 @@ fn concurrent_identical_requests_coalesce_to_one_computation() {
         Some(expected),
         "served bytes diverged from the batch computation"
     );
+
+    handle.shutdown();
+    handle.join();
+}
+
+/// Four connections ask for one uncached `detect` at once: one leads the
+/// detect fill (one miss, one day replay inside it) and the other three
+/// follow it, so every client gets the leader's bytes.
+#[test]
+fn concurrent_identical_detects_run_detection_once() {
+    let handle = start_adversarial();
+    let before = fill_counters(&handle);
+    let detect = r#"{"v":1,"cmd":"detect","snapshot":"adv","as_of":17,"top_k":5}"#;
+    let replies = send_together(&handle, vec![detect.to_string(); 4]);
+    assert!(replies[0].starts_with(r#"{"ok":true"#), "detect failed: {}", replies[0]);
+    assert!(replies.iter().all(|r| *r == replies[0]), "coalesced detect replies diverged");
+    let [shard_misses, _, coalesced, replays] = since(fill_counters(&handle), before);
+    assert_eq!(shard_misses, 1, "detection ran more than once");
+    assert_eq!(coalesced, 3, "three detects should have followed the leader's fill");
+    assert_eq!(replays, 1, "day 17 was replayed more than once");
+
+    handle.shutdown();
+    handle.join();
+}
+
+/// Four different sections as of one uncached day, at once: each section
+/// misses, but the day graph they share is replayed once — the first job
+/// leads the day fill and the others wait for it or find it cached.
+#[test]
+fn sections_as_of_one_uncached_day_replay_it_once() {
+    let handle = start_adversarial();
+    let before = fill_counters(&handle);
+    let lines = ["basic", "reciprocity", "degrees", "separation"].map(|section| {
+        format!(r#"{{"v":1,"cmd":"analyze","snapshot":"adv","sections":["{section}"],"as_of":11}}"#)
+    });
+    for reply in send_together(&handle, lines.to_vec()) {
+        assert!(reply.starts_with(r#"{"ok":true"#), "analyze failed: {reply}");
+        assert!(reply.contains(r#""as_of":11"#), "reply lost its day: {reply}");
+    }
+    let [_, misses, _, replays] = since(fill_counters(&handle), before);
+    assert_eq!(misses, 4, "each section misses once");
+    assert_eq!(replays, 1, "day 11 was replayed more than once");
 
     handle.shutdown();
     handle.join();
