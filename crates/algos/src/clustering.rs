@@ -6,8 +6,16 @@
 //! graph, and nodes with fewer than two neighbors contribute zero to the
 //! average.
 
+use std::time::Instant;
+
 use rand::Rng;
+use vnet_ctx::AnalysisCtx;
 use vnet_graph::{DiGraph, NodeId, Undirected};
+
+/// Samples per task of [`average_local_clustering_sampled`]. One hub's
+/// neighbourhood can cost as much as thousands of leaves, so small tasks
+/// keep a few hub samples from deciding one lane's share of the work.
+const SAMPLE_CHUNK: usize = 64;
 
 /// Local clustering coefficient of `u` on the undirected projection:
 /// the fraction of neighbor pairs that are themselves connected (in either
@@ -67,20 +75,39 @@ pub fn average_local_clustering(g: &DiGraph) -> f64 {
 /// paper scale, where exact evaluation touches every hub's neighborhood.
 /// Costs one O(V + E) projection build per call, then
 /// O(Σ_{v∈N(u)} deg v) per sample `u`.
+///
+/// The sample nodes are drawn from `rng` up front, on the caller's thread;
+/// their coefficients are computed in tasks of `SAMPLE_CHUNK` (64) samples
+/// on the context's pool (par stage `clustering`) and summed in sample
+/// order, so the estimate has the same bits at any thread count.
 pub fn average_local_clustering_sampled<R: Rng + ?Sized>(
     g: &DiGraph,
     samples: usize,
     rng: &mut R,
+    ctx: &AnalysisCtx,
 ) -> f64 {
     let n = g.node_count();
     if n == 0 || samples == 0 {
         return 0.0;
     }
     let und = Undirected::from_digraph(g);
-    let mut marked = vec![false; n];
-    let total: f64 = (0..samples)
-        .map(|_| local_clustering_marked(&und, rng.random_range(0..n as u32), &mut marked))
-        .sum();
+    let nodes: Vec<NodeId> = (0..samples).map(|_| rng.random_range(0..n as u32)).collect();
+    let started = Instant::now();
+    let (total, par) = ctx.pool().map_reduce_chunks(
+        samples,
+        SAMPLE_CHUNK,
+        |_, range| {
+            let mut marked = vec![false; n];
+            nodes[range]
+                .iter()
+                .map(|&u| local_clustering_marked(&und, u, &mut marked))
+                .collect::<Vec<f64>>()
+        },
+        0.0f64,
+        |total, coefficients| coefficients.into_iter().fold(total, |sum, c| sum + c),
+    );
+    ctx.record_par("clustering", &par);
+    ctx.observe_par_wall("clustering", started.elapsed().as_micros() as u64);
     total / samples as f64
 }
 
@@ -158,7 +185,7 @@ mod tests {
         .unwrap();
         let exact = average_local_clustering(&g);
         let mut rng = StdRng::seed_from_u64(99);
-        let approx = average_local_clustering_sampled(&g, 20_000, &mut rng);
+        let approx = average_local_clustering_sampled(&g, 20_000, &mut rng, &AnalysisCtx::quiet());
         assert!((approx - exact).abs() < 0.02, "exact={exact} approx={approx}");
     }
 

@@ -1,4 +1,4 @@
-//! Connected-component structure: strong, weak, condensation, attracting.
+//! Connected-component structure: strong, weak, attracting.
 //!
 //! Section III/IV-A of the paper reports a giant strongly connected
 //! component holding 97.24% of English verified users, 6,251 weakly
@@ -161,45 +161,10 @@ pub fn weakly_connected_components(g: &DiGraph) -> Components {
     Components { component_of, count: count as usize }
 }
 
-/// The condensation DAG: one meta-node per SCC, an edge between two SCCs
-/// when any original edge crosses them.
-#[derive(Debug, Clone)]
-pub struct Condensation {
-    /// The underlying SCC labelling.
-    pub sccs: Components,
-    /// Out-adjacency between SCC ids (deduplicated, sorted).
-    pub scc_out: Vec<Vec<u32>>,
-}
-
-impl Condensation {
-    /// Build the condensation of `g`.
-    pub fn of(g: &DiGraph) -> Self {
-        let sccs = strongly_connected_components(g);
-        let mut scc_out: Vec<Vec<u32>> = vec![Vec::new(); sccs.count];
-        for (u, v) in g.edges() {
-            let (cu, cv) = (sccs.component_of[u as usize], sccs.component_of[v as usize]);
-            if cu != cv {
-                scc_out[cu as usize].push(cv);
-            }
-        }
-        for adj in &mut scc_out {
-            adj.sort_unstable();
-            adj.dedup();
-        }
-        Condensation { sccs, scc_out }
-    }
-
-    /// SCC ids with no outgoing condensation edges — the attracting
-    /// components.
-    pub fn sink_sccs(&self) -> Vec<u32> {
-        (0..self.sccs.count as u32).filter(|&c| self.scc_out[c as usize].is_empty()).collect()
-    }
-}
-
 /// Summary of one attracting component.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttractingComponent {
-    /// SCC id in the condensation.
+    /// Its id in the SCC labelling.
     pub scc_id: u32,
     /// Member nodes.
     pub members: Vec<NodeId>,
@@ -213,20 +178,33 @@ pub struct AttractingComponent {
 /// Note that an isolated node is trivially attracting; the paper's counts
 /// (6,091 attracting vs 6,027 isolated) are consistent with that reading.
 pub fn attracting_components(g: &DiGraph) -> Vec<AttractingComponent> {
-    let cond = Condensation::of(g);
-    let sinks = cond.sink_sccs();
-    let mut members: std::collections::HashMap<u32, Vec<NodeId>> =
-        sinks.iter().map(|&s| (s, Vec::new())).collect();
-    for (node, &c) in cond.sccs.component_of.iter().enumerate() {
-        if let Some(v) = members.get_mut(&c) {
-            v.push(node as NodeId);
+    attracting_components_of(g, &strongly_connected_components(g))
+}
+
+/// [`attracting_components`] of `g` from its SCC labelling `sccs`, for a
+/// caller that already holds one: the SCCs no edge leaves, in SCC id
+/// order, each with its members in node order.
+pub fn attracting_components_of(g: &DiGraph, sccs: &Components) -> Vec<AttractingComponent> {
+    let mut has_exit = vec![false; sccs.count];
+    for (u, v) in g.edges() {
+        let (cu, cv) = (sccs.component_of[u as usize], sccs.component_of[v as usize]);
+        if cu != cv {
+            has_exit[cu as usize] = true;
         }
     }
-    let mut out: Vec<AttractingComponent> = members
-        .into_iter()
-        .map(|(scc_id, members)| AttractingComponent { scc_id, members })
+    let mut out: Vec<AttractingComponent> = (0..sccs.count as u32)
+        .filter(|&c| !has_exit[c as usize])
+        .map(|scc_id| AttractingComponent { scc_id, members: Vec::new() })
         .collect();
-    out.sort_by_key(|c| c.scc_id);
+    let mut slot = vec![usize::MAX; sccs.count];
+    for (i, sink) in out.iter().enumerate() {
+        slot[sink.scc_id as usize] = i;
+    }
+    for (node, &c) in sccs.component_of.iter().enumerate() {
+        if let Some(sink) = out.get_mut(slot[c as usize]) {
+            sink.members.push(node as NodeId);
+        }
+    }
     out
 }
 
@@ -296,16 +274,6 @@ mod tests {
         let c = weakly_connected_components(&g);
         assert_eq!(c.count, 4);
         assert_eq!(c.giant_size(), 1);
-    }
-
-    #[test]
-    fn condensation_edges_and_sinks() {
-        let g = two_cycles_with_bridge();
-        let cond = Condensation::of(&g);
-        assert_eq!(cond.sccs.count, 3);
-        let sinks = cond.sink_sccs();
-        // Sinks: SCC {3,4} (no outgoing) and the isolated node 5.
-        assert_eq!(sinks.len(), 2);
     }
 
     #[test]

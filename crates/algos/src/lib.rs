@@ -9,9 +9,9 @@
 //! sub-graph:
 //!
 //! * [`components`] — Tarjan strongly connected components, union-find weak
-//!   components, the condensation DAG, and **attracting components** (sink
-//!   SCCs — "components in which if a random walk enters, it never leaves";
-//!   the paper counts 6,091 of them, celebrity-cored).
+//!   components, and **attracting components** (sink SCCs — "components
+//!   in which if a random walk enters, it never leaves"; the paper counts
+//!   6,091 of them, celebrity-cored).
 //! * [`mod@reciprocity`] — the fraction of directed edges that are reciprocated
 //!   (33.7% for verified users vs 22.1% for all of Twitter).
 //! * [`assortativity`] — directed degree-degree Pearson correlation (the
@@ -42,8 +42,8 @@ pub use assortativity::{degree_assortativity, DegreeMode};
 pub use betweenness::{betweenness_exact, betweenness_sampled};
 pub use clustering::{average_local_clustering, local_clustering};
 pub use components::{
-    attracting_components, strongly_connected_components, weakly_connected_components,
-    Condensation,
+    attracting_components, attracting_components_of, strongly_connected_components,
+    weakly_connected_components,
 };
 pub use closeness::{harmonic_closeness_exact, harmonic_closeness_sampled};
 pub use distances::{bfs_distances, distance_distribution, DistanceStats};

@@ -73,7 +73,7 @@ fn ablation_fingerprints(c: &mut Criterion) {
             "[ablation_generator] {:<24} {:>8.3} {:>8.3} {:>8.3} {:>11}",
             name,
             reciprocity(g),
-            average_local_clustering_sampled(g, 800, &mut rng),
+            average_local_clustering_sampled(g, 800, &mut rng, &vnet_ctx::AnalysisCtx::quiet()),
             degree_assortativity(g, DegreeMode::OutIn).unwrap_or(f64::NAN),
             attracting_components(g).len()
         );

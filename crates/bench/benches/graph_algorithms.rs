@@ -43,7 +43,12 @@ fn bench_edge_statistics(c: &mut Criterion) {
     group.bench_function("clustering_sampled_500", |b| {
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(1);
-            black_box(average_local_clustering_sampled(black_box(g), 500, &mut rng))
+            black_box(average_local_clustering_sampled(
+                black_box(g),
+                500,
+                &mut rng,
+                &AnalysisCtx::quiet(),
+            ))
         })
     });
     group.finish();

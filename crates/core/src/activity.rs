@@ -5,7 +5,7 @@ use serde::Serialize;
 use vnet_ctx::AnalysisCtx;
 use vnet_timeseries::adf::{adf_test, AdfRegression, LagSelection};
 use vnet_timeseries::pelt::pelt_consensus;
-use vnet_timeseries::portmanteau::{box_pierce, ljung_box};
+use vnet_timeseries::portmanteau::max_p_values;
 use vnet_timeseries::seasonal::deseasonalize_weekly;
 use vnet_timeseries::{CalendarHeatmap, Date};
 
@@ -78,15 +78,10 @@ pub fn activity_analysis(
     let cap = lag_cap.min(days.saturating_sub(2));
 
     // Portmanteau: the paper reports the max p over tested horizons.
-    let mut lb_max: f64 = 0.0;
-    let mut bp_max: f64 = 0.0;
-    {
+    let max_p = {
         let _span = ctx.span("analysis.activity.portmanteau");
-        for h in 1..=cap {
-            lb_max = lb_max.max(ljung_box(s, h)?.p_value);
-            bp_max = bp_max.max(box_pierce(s, h)?.p_value);
-        }
-    }
+        max_p_values(s, cap)?
+    };
 
     // ADF with constant and trend, weekly lag order (the paper checks up
     // to 185 lags; a weekly order captures the same dynamics on this
@@ -136,8 +131,8 @@ pub fn activity_analysis(
     Ok(ActivityReport {
         days,
         weekday_means: heatmap.weekday_means(),
-        ljung_box_max_p: lb_max,
-        box_pierce_max_p: bp_max,
+        ljung_box_max_p: max_p.ljung_box,
+        box_pierce_max_p: max_p.box_pierce,
         lag_cap: cap,
         adf_statistic: adf.statistic,
         adf_crit_5pct: adf.crit_5pct,

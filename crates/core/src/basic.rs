@@ -6,7 +6,7 @@ use serde::Serialize;
 use vnet_algos::assortativity::{degree_assortativity, DegreeMode};
 use vnet_algos::clustering::average_local_clustering_sampled;
 use vnet_algos::components::{
-    attracting_components, strongly_connected_components, weakly_connected_components,
+    attracting_components_of, strongly_connected_components, weakly_connected_components,
 };
 use vnet_ctx::AnalysisCtx;
 
@@ -57,11 +57,9 @@ pub fn basic_analysis<R: Rng + ?Sized>(
     let g = &dataset.graph;
     let (scc, wcc, attracting) = {
         let _span = ctx.span("analysis.basic.components");
-        (
-            strongly_connected_components(g),
-            weakly_connected_components(g),
-            attracting_components(g),
-        )
+        let scc = strongly_connected_components(g);
+        let attracting = attracting_components_of(g, &scc);
+        (scc, weakly_connected_components(g), attracting)
     };
 
     // Celebrity sinks: non-singleton-isolated attracting cores, ranked by
@@ -78,7 +76,7 @@ pub fn basic_analysis<R: Rng + ?Sized>(
 
     let clustering = {
         let _span = ctx.span("analysis.basic.clustering");
-        average_local_clustering_sampled(g, clustering_samples, rng)
+        average_local_clustering_sampled(g, clustering_samples, rng, ctx)
     };
 
     let summary = dataset.summary();

@@ -10,7 +10,12 @@
 
 use crate::dataset::Dataset;
 use serde::Serialize;
+use std::time::Instant;
+use vnet_ctx::AnalysisCtx;
 use vnet_textmine::categorize_bio;
+
+/// Profiles per classification task of [`category_analysis`].
+const PROFILE_CHUNK: usize = 1_024;
 
 /// Size and reach profile of one user category.
 #[derive(Debug, Clone, Serialize)]
@@ -40,7 +45,12 @@ pub struct CategoryReport {
 }
 
 /// Classify every user's bio and aggregate per-category statistics.
-pub fn category_analysis(dataset: &Dataset) -> CategoryReport {
+///
+/// The bios are classified in tasks of `PROFILE_CHUNK` (1,024) profiles on
+/// the context's pool (par stage `categories`); the sums then run over the
+/// profiles in order on the caller's thread, so every mean has the same
+/// bits at any thread count.
+pub fn category_analysis(dataset: &Dataset, ctx: &AnalysisCtx) -> CategoryReport {
     use std::collections::HashMap;
     struct Acc {
         count: usize,
@@ -48,9 +58,27 @@ pub fn category_analysis(dataset: &Dataset) -> CategoryReport {
         in_degree: f64,
         statuses: f64,
     }
+    let started = Instant::now();
+    let (labels, par) = ctx.pool().map_reduce_chunks(
+        dataset.profiles.len(),
+        PROFILE_CHUNK,
+        |_, range| {
+            dataset.profiles[range]
+                .iter()
+                .map(|p| categorize_bio(&p.bio).label())
+                .collect::<Vec<_>>()
+        },
+        Vec::with_capacity(dataset.profiles.len()),
+        |mut labels, chunk| {
+            labels.extend(chunk);
+            labels
+        },
+    );
+    ctx.record_par("categories", &par);
+    ctx.observe_par_wall("categories", started.elapsed().as_micros() as u64);
+
     let mut acc: HashMap<&'static str, Acc> = HashMap::new();
-    for (v, p) in dataset.profiles.iter().enumerate() {
-        let label = categorize_bio(&p.bio).label();
+    for ((v, p), label) in dataset.profiles.iter().enumerate().zip(labels) {
         let e = acc.entry(label).or_insert(Acc { count: 0, followers: 0.0, in_degree: 0.0, statuses: 0.0 });
         e.count += 1;
         e.followers += p.followers_count as f64;
@@ -86,8 +114,9 @@ mod tests {
 
     #[test]
     fn journalism_dominates_as_in_the_paper() {
-        let ds = Dataset::build(&SynthesisConfig::small(), &vnet_ctx::AnalysisCtx::quiet());
-        let r = category_analysis(&ds);
+        let ctx = AnalysisCtx::quiet();
+        let ds = Dataset::build(&SynthesisConfig::small(), &ctx);
+        let r = category_analysis(&ds, &ctx);
         let total: usize = r.profiles.iter().map(|p| p.count).sum();
         assert_eq!(total, ds.profiles.len());
         // News-adjacent categories carry a large share (generator prior:

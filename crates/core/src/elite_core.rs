@@ -18,7 +18,8 @@
 use crate::dataset::Dataset;
 use serde::Serialize;
 use vnet_algos::kcore::k_core_decomposition;
-use vnet_algos::reciprocity::reciprocity_among;
+use vnet_algos::reciprocity::reciprocity_bands;
+use vnet_ctx::AnalysisCtx;
 use vnet_graph::Undirected;
 
 /// Reciprocity and reach within one coreness band.
@@ -51,8 +52,9 @@ pub struct EliteCoreReport {
 }
 
 /// Run the validation. Bands are taken at coreness quartiles and the
-/// degeneracy core.
-pub fn elite_core_analysis(dataset: &Dataset) -> EliteCoreReport {
+/// degeneracy core; one pass of [`reciprocity_bands`] on the context's
+/// pool counts the edges of every band.
+pub fn elite_core_analysis(dataset: &Dataset, ctx: &AnalysisCtx) -> EliteCoreReport {
     let g = &dataset.graph;
     let decomp = k_core_decomposition(&Undirected::from_digraph(g));
     let followers = dataset.followers();
@@ -70,10 +72,12 @@ pub fn elite_core_analysis(dataset: &Dataset) -> EliteCoreReport {
     };
     let mut thresholds = vec![0u32, q(0.25), q(0.5), q(0.75), decomp.degeneracy];
     thresholds.dedup();
+    let counts = reciprocity_bands(g, |v| decomp.coreness[v as usize], &thresholds, ctx);
 
     let bands: Vec<CoreBand> = thresholds
         .iter()
-        .map(|&k| {
+        .zip(&counts)
+        .map(|(&k, edges)| {
             let members = decomp.k_core_members(k);
             let mean_followers = if members.is_empty() {
                 0.0
@@ -84,7 +88,7 @@ pub fn elite_core_analysis(dataset: &Dataset) -> EliteCoreReport {
             CoreBand {
                 min_coreness: k,
                 members: members.len(),
-                reciprocity: reciprocity_among(g, |v| decomp.coreness[v as usize] >= k),
+                reciprocity: edges.reciprocity(),
                 mean_followers,
             }
         })
@@ -115,8 +119,9 @@ mod tests {
         // conjecture is a tail phenomenon and needs a core of hundreds of
         // members to rise above sampling noise (at 4k nodes the innermost
         // core holds only ~100 users).
-        let ds = Dataset::build(&SynthesisConfig::default(), &vnet_ctx::AnalysisCtx::quiet());
-        let r = elite_core_analysis(&ds);
+        let ctx = AnalysisCtx::quiet();
+        let ds = Dataset::build(&SynthesisConfig::default(), &ctx);
+        let r = elite_core_analysis(&ds, &ctx);
         assert!(r.degeneracy >= 3, "degeneracy {}", r.degeneracy);
         assert!(r.bands.len() >= 3);
         // Claim 1: the elite core reciprocates more than the graph at large.
@@ -141,8 +146,9 @@ mod tests {
 
     #[test]
     fn bands_cover_whole_graph_at_zero_threshold() {
-        let ds = Dataset::build(&SynthesisConfig::small(), &vnet_ctx::AnalysisCtx::quiet());
-        let r = elite_core_analysis(&ds);
+        let ctx = AnalysisCtx::quiet();
+        let ds = Dataset::build(&SynthesisConfig::small(), &ctx);
+        let r = elite_core_analysis(&ds, &ctx);
         assert_eq!(r.bands[0].members, ds.graph.node_count());
         assert!((r.bands[0].reciprocity - r.overall_reciprocity).abs() < 1e-12);
     }

@@ -2,7 +2,8 @@
 
 use crate::dataset::Dataset;
 use serde::Serialize;
-use vnet_algos::reciprocity::{mutual_pairs, reciprocity};
+use vnet_algos::reciprocity::edge_counts;
+use vnet_ctx::AnalysisCtx;
 
 /// Reference reciprocity rates the paper compares against.
 pub const WHOLE_TWITTER_RECIPROCITY: f64 = 0.221; // Kwak et al. 2010
@@ -24,14 +25,16 @@ pub struct ReciprocityReport {
     pub vs_flickr: f64,
 }
 
-/// Run the reciprocity analysis.
-pub fn reciprocity_analysis(dataset: &Dataset) -> ReciprocityReport {
-    let r = reciprocity(&dataset.graph);
-    let mutual = mutual_pairs(&dataset.graph);
+/// Run the reciprocity analysis: one counting pass over the graph on the
+/// context's pool.
+pub fn reciprocity_analysis(dataset: &Dataset, ctx: &AnalysisCtx) -> ReciprocityReport {
+    let counts = edge_counts(&dataset.graph, ctx);
+    let r = counts.reciprocity();
+    let mutual = counts.mutual_pairs();
     ReciprocityReport {
         reciprocity: r,
         mutual_pairs: mutual,
-        one_way_edges: dataset.graph.edge_count() as u64 - 2 * mutual,
+        one_way_edges: counts.edges - 2 * mutual,
         vs_whole_twitter: r / WHOLE_TWITTER_RECIPROCITY,
         vs_flickr: r / FLICKR_RECIPROCITY,
     }
@@ -44,8 +47,9 @@ mod tests {
 
     #[test]
     fn reciprocity_sits_between_twitter_and_flickr() {
-        let ds = Dataset::build(&SynthesisConfig::small(), &vnet_ctx::AnalysisCtx::quiet());
-        let r = reciprocity_analysis(&ds);
+        let ctx = AnalysisCtx::quiet();
+        let ds = Dataset::build(&SynthesisConfig::small(), &ctx);
+        let r = reciprocity_analysis(&ds, &ctx);
         // Paper shape: above the whole-Twitter 22.1%, far below Flickr 68%.
         assert!(r.reciprocity > WHOLE_TWITTER_RECIPROCITY, "r={}", r.reciprocity);
         assert!(r.reciprocity < 0.5, "r={}", r.reciprocity);

@@ -236,7 +236,7 @@ pub fn run_analysis_section(
             )
             .map_err(|e| fit_err(section, e))?,
         ),
-        Section::Reciprocity => SectionReport::Reciprocity(reciprocity_analysis(dataset)),
+        Section::Reciprocity => SectionReport::Reciprocity(reciprocity_analysis(dataset, ctx)),
         Section::Separation => {
             SectionReport::Separation(separation_analysis(dataset, opts.distance_sources, rng, ctx))
         }
@@ -258,9 +258,9 @@ pub fn run_analysis_section(
                     dataset.graph.node_count()
                 )));
             }
-            SectionReport::EliteCore(elite_core_analysis(dataset))
+            SectionReport::EliteCore(elite_core_analysis(dataset, ctx))
         }
-        Section::Categories => SectionReport::Categories(category_analysis(dataset)),
+        Section::Categories => SectionReport::Categories(category_analysis(dataset, ctx)),
     })
 }
 

@@ -49,7 +49,7 @@ fn main() {
     }
     let clus = {
         let _span = obs.span("calibrate.clustering");
-        clustering::average_local_clustering_sampled(g, 3000, &mut rng)
+        clustering::average_local_clustering_sampled(g, 3000, &mut rng, &AnalysisCtx::quiet())
     };
     rep.line(format!("clustering(sampled)={:.4} (paper 0.1583)", clus));
     let d = {

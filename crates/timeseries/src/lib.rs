@@ -37,7 +37,7 @@ pub use calendar::{CalendarHeatmap, Date};
 pub use decompose::{decompose_additive, Decomposition};
 pub use kpss::{kpss_test, KpssRegression, KpssResult};
 pub use pelt::{pelt, pelt_consensus, PeltResult};
-pub use portmanteau::{box_pierce, ljung_box, PortmanteauResult};
+pub use portmanteau::{box_pierce, ljung_box, max_p_values, MaxPValues, PortmanteauResult};
 pub use seasonal::{deseasonalize, deseasonalize_weekly};
 
 /// Errors from time-series analysis.

@@ -61,18 +61,38 @@ pub fn box_pierce(series: &[f64], lags: usize) -> Result<PortmanteauResult> {
     Ok(PortmanteauResult { statistic: q, lags, p_value: chi2_sf(q, lags as f64) })
 }
 
-/// The maximum p-value of a test over lag horizons `1..=max_lag` — the
-/// paper's reporting convention ("indicate a maximum p value of ...").
-pub fn max_p_over_lags(
-    series: &[f64],
-    max_lag: usize,
-    test: fn(&[f64], usize) -> Result<PortmanteauResult>,
-) -> Result<f64> {
-    let mut max_p = 0.0f64;
-    for h in 1..=max_lag {
-        max_p = max_p.max(test(series, h)?.p_value);
+/// The largest Ljung-Box and Box-Pierce p-values over a range of lag
+/// horizons — the paper's reporting convention ("indicate a maximum p
+/// value of ...").
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MaxPValues {
+    /// Largest Ljung-Box p-value.
+    pub ljung_box: f64,
+    /// Largest Box-Pierce p-value.
+    pub box_pierce: f64,
+}
+
+/// [`MaxPValues`] of `series` over the horizons `1..=max_lag`, in one
+/// pass: ρ̂₁…ρ̂_max_lag once, then each horizon's Q as a running sum in lag
+/// order. Those are the additions [`ljung_box`] and [`box_pierce`] make at
+/// that horizon, in the same order, so every p-value has their bits.
+/// `max_lag` 0 tests no horizon and returns zeros.
+pub fn max_p_values(series: &[f64], max_lag: usize) -> Result<MaxPValues> {
+    let mut max = MaxPValues { ljung_box: 0.0, box_pierce: 0.0 };
+    if max_lag == 0 {
+        return Ok(max);
     }
-    Ok(max_p)
+    let rho = autocorrelation(series, max_lag)?;
+    let n = series.len() as f64;
+    let (mut lb, mut bp) = (0.0f64, 0.0f64);
+    for (i, &r) in rho.iter().enumerate() {
+        let lags = (i + 1) as f64;
+        lb += r * r / (n - lags);
+        bp += r * r;
+        max.ljung_box = max.ljung_box.max(chi2_sf(lb * n * (n + 2.0), lags));
+        max.box_pierce = max.box_pierce.max(chi2_sf(bp * n, lags));
+    }
+    Ok(max)
 }
 
 #[cfg(test)]
@@ -137,9 +157,9 @@ mod tests {
     }
 
     #[test]
-    fn max_p_over_lags_reports_supremum() {
+    fn max_p_values_reports_supremum() {
         let s = weekly_seasonal(366, 87);
-        let max_p = max_p_over_lags(&s, 30, ljung_box).unwrap();
+        let max_p = max_p_values(&s, 30).unwrap().ljung_box;
         // Even the most favourable lag horizon rejects on seasonal data —
         // this is the paper's "maximum p value" reporting convention. (The
         // supremum is attained at lag 1, before the weekly structure enters
@@ -148,6 +168,35 @@ mod tests {
         // And the supremum is >= any individual horizon's p.
         let single = ljung_box(&s, 7).unwrap().p_value;
         assert!(max_p >= single);
+    }
+
+    /// The one-pass maxima against the largest p of each horizon's own
+    /// test, bit for bit.
+    #[test]
+    fn max_p_values_match_per_horizon_tests_bit_for_bit() {
+        for s in [weekly_seasonal(366, 91), white_noise(366, 93), white_noise(61, 95)] {
+            let n = s.len();
+            let mut horizons: Vec<usize> = (1..=60.min(n - 2)).collect();
+            horizons.push(n - 2);
+            for max_lag in horizons {
+                let (mut lb, mut bp) = (0.0f64, 0.0f64);
+                for h in 1..=max_lag {
+                    lb = lb.max(ljung_box(&s, h).unwrap().p_value);
+                    bp = bp.max(box_pierce(&s, h).unwrap().p_value);
+                }
+                let got = max_p_values(&s, max_lag).unwrap();
+                assert_eq!(got.ljung_box.to_bits(), lb.to_bits(), "n={n} max_lag={max_lag}");
+                assert_eq!(got.box_pierce.to_bits(), bp.to_bits(), "n={n} max_lag={max_lag}");
+            }
+        }
+        assert_eq!(
+            max_p_values(&[3.0; 50], 10),
+            Err(crate::TsError::InvalidParameter("constant series"))
+        );
+        assert_eq!(
+            max_p_values(&[3.0; 50], 0),
+            Ok(MaxPValues { ljung_box: 0.0, box_pierce: 0.0 })
+        );
     }
 
     #[test]

@@ -90,10 +90,14 @@
 #                             store: no merge step, no capacity knob,
 #                             and no second section dispatcher: no
 #                             fn sec_* in crates/core/src/, no
-#                             run_analysis( call in repro; and one fill
+#                             run_analysis( call in repro; one fill
 #                             path in serve: no flight table or locked Lru
 #                             outside the memo's module, one
-#                             executor.submit( in server.rs)
+#                             executor.submit( in server.rs; and one
+#                             portmanteau pass: no max_p_over_lags, no
+#                             ljung_box( or box_pierce( call in
+#                             crates/core/src/), and clippy on the
+#                             integration-test targets
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -221,6 +225,9 @@ full)
     "$0" obs-bench
     "$0" graph-scale
     cargo clippy --workspace -- -D warnings
+    # The workspace wall above skips test targets; the integration tests
+    # are linted on their own.
+    cargo clippy -p vnet-integration-tests --tests -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
     # EXPERIMENTS.md quotes the criterion benches' ablations; no lane runs
     # them, so at least keep them compiling.
@@ -321,6 +328,15 @@ full)
         || [ "$(grep -c -F 'executor.submit(' crates/serve/src/server.rs)" -gt 1 ]; then
         echo "error: a second cache-fill path or a second request path reappeared in vnet-serve" >&2
         echo "       (fill through Memo::get_or_fill; run analyze and detect through handle_job)" >&2
+        exit 1
+    fi
+    # One portmanteau pass: activity reads every horizon's maximum p from
+    # vnet_timeseries::max_p_values, which computes the autocorrelations
+    # once, instead of testing horizon by horizon.
+    if grep -rn --include='*.rs' -F 'max_p_over_lags' crates/ tests/ examples/ \
+        || grep -rn --include='*.rs' -E '\b(ljung_box|box_pierce)\(' crates/core/src/; then
+        echo "error: a per-horizon portmanteau loop reappeared" >&2
+        echo "       (take the maxima over all horizons from vnet_timeseries::max_p_values)" >&2
         exit 1
     fi
     ;;

@@ -37,8 +37,9 @@ fn closure_ablation_only_kills_clustering() {
     let mut rng = StdRng::seed_from_u64(7);
     let full = gen(&VerifiedNetConfig::small(), 7);
     let ablated = gen(&VerifiedNetConfig::small().without_triadic_closure(), 7);
-    let c_full = average_local_clustering_sampled(&full.graph, 1_200, &mut rng);
-    let c_abl = average_local_clustering_sampled(&ablated.graph, 1_200, &mut rng);
+    let ctx = AnalysisCtx::quiet();
+    let c_full = average_local_clustering_sampled(&full.graph, 1_200, &mut rng, &ctx);
+    let c_abl = average_local_clustering_sampled(&ablated.graph, 1_200, &mut rng, &ctx);
     assert!(
         c_abl < 0.75 * c_full,
         "closure off should cut clustering markedly: {c_abl} vs {c_full}"

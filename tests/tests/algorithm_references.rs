@@ -12,7 +12,7 @@ use vnet_algos::components::strongly_connected_components;
 use vnet_algos::distances::{bfs_distances, UNREACHABLE};
 use vnet_algos::kcore::k_core_decomposition;
 use vnet_algos::pagerank::{pagerank, PageRankConfig};
-use vnet_algos::reciprocity::{reciprocity, reciprocity_among};
+use vnet_algos::reciprocity::{reciprocity, reciprocity_bands, EdgeCounts};
 use vnet_graph::builder::from_edges;
 use vnet_graph::{common_count, for_each_common, induced_subgraph, DiGraph, NodeId, Undirected};
 use vnet_spectral::{lanczos_topk, SymLaplacian};
@@ -135,8 +135,8 @@ fn floyd_warshall(g: &DiGraph) -> Vec<Vec<u32>> {
     let n = g.node_count();
     let inf = u32::MAX / 4;
     let mut d = vec![vec![inf; n]; n];
-    for v in 0..n {
-        d[v][v] = 0;
+    for (v, row) in d.iter_mut().enumerate() {
+        row[v] = 0;
     }
     for (u, v) in g.edges() {
         d[u as usize][v as usize] = 1;
@@ -350,17 +350,36 @@ proptest! {
         prop_assert_eq!(d.degeneracy, brute.iter().copied().max().unwrap_or(0));
     }
 
+    /// Every band of the one-pass kernel against the sub-graph its
+    /// threshold induces, built and counted edge by edge.
     #[test]
     fn reciprocity_among_matches_induced_subgraph(
         raw in proptest::collection::vec((0u32..12, 0u32..12), 0..70),
-        mask in proptest::collection::vec(0u32..2, 12usize),
+        rank in proptest::collection::vec(0u32..5, 12usize),
+        mut thresholds in proptest::collection::vec(0u32..6, 1..5),
     ) {
         let g = graph_from(12, &raw);
-        let keep = |v: NodeId| mask[v as usize] == 1;
-        let kept: Vec<NodeId> = (0..12u32).filter(|&v| keep(v)).collect();
-        let fast = reciprocity_among(&g, keep);
-        let oracle = reciprocity(&induced_subgraph(&g, &kept).graph);
-        prop_assert_eq!(fast.to_bits(), oracle.to_bits(), "{} vs {}", fast, oracle);
+        thresholds.sort_unstable();
+        let bands = reciprocity_bands(
+            &g,
+            |v| rank[v as usize],
+            &thresholds,
+            &vnet_ctx::AnalysisCtx::quiet(),
+        );
+        prop_assert_eq!(bands.len(), thresholds.len());
+        for (&t, fast) in thresholds.iter().zip(&bands) {
+            let kept: Vec<NodeId> = (0..12u32).filter(|&v| rank[v as usize] >= t).collect();
+            let edges: Vec<(u32, u32)> = induced_subgraph(&g, &kept).graph.edges().collect();
+            let oracle = EdgeCounts {
+                edges: edges.len() as u64,
+                reciprocated: edges.iter().filter(|&&(u, v)| edges.contains(&(v, u))).count() as u64,
+            };
+            prop_assert_eq!(*fast, oracle, "threshold {}", t);
+            let brute = if edges.is_empty() { 0.0 } else {
+                oracle.reciprocated as f64 / edges.len() as f64
+            };
+            prop_assert_eq!(fast.reciprocity().to_bits(), brute.to_bits(), "threshold {}", t);
+        }
     }
 
     #[test]
@@ -408,9 +427,9 @@ proptest! {
             &vnet_ctx::AnalysisCtx::quiet(),
         );
         let dense = dense_pagerank(&g, 0.85, 500);
-        for v in 0..12usize {
-            prop_assert!((fast.scores[v] - dense[v]).abs() < 1e-10,
-                "v={}: {} vs {}", v, fast.scores[v], dense[v]);
+        for (v, &reference) in dense.iter().enumerate() {
+            prop_assert!((fast.scores[v] - reference).abs() < 1e-10,
+                "v={}: {} vs {}", v, fast.scores[v], reference);
         }
         let total: f64 = fast.scores.iter().sum();
         prop_assert!((total - 1.0).abs() < 1e-9);

@@ -25,7 +25,7 @@ fn full_paper_fingerprint() {
 
     // §IV-A — connectivity fingerprint.
     assert!(r.basic.giant_scc_fraction > 0.9);
-    assert!(r.basic.weak_components >= r.basic.isolated + 1);
+    assert!(r.basic.weak_components > r.basic.isolated);
     assert!(r.basic.attracting_components >= r.basic.isolated);
     assert!(r.basic.assortativity_out_in < 0.02, "homophily appeared: {}", r.basic.assortativity_out_in);
     assert!(r.basic.clustering > 0.01 && r.basic.clustering < 0.4);

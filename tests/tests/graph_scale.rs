@@ -30,7 +30,7 @@ fn tiny_config(nodes: u32, mean_out: f64) -> VerifiedNetConfig {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// The streaming build's peak stays within the issue's 1.5× budget of
     /// the final CSR at every generated size.

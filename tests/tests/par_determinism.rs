@@ -4,15 +4,19 @@
 //! a `ParPool` is a pure function of the problem and the seed — the thread
 //! count may only change wall-clock time. These tests sweep pools of
 //! 1/2/4/7 workers over every ported stage (bootstrap GoF, sampled
-//! betweenness, the BFS separation sweep, Lanczos, PageRank) and demand
-//! *bit* equality, then pin the same property end-to-end through the full
-//! analysis battery and its run manifest.
+//! betweenness, the BFS separation sweep, Lanczos, PageRank, reciprocity
+//! bands, sampled clustering, bio categories) and demand *bit* equality,
+//! then pin the same property end-to-end through the full analysis battery
+//! and its run manifest.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use verified_net::{run_analysis, AnalysisCtx, AnalysisOptions, Dataset, SynthesisConfig};
+use verified_net::{
+    run_analysis, run_analysis_section, AnalysisCtx, AnalysisOptions, Dataset, Section,
+    SynthesisConfig,
+};
 use vnet_algos::betweenness::betweenness_sampled;
 use vnet_algos::distances::{distance_distribution, SourceSpec};
 use vnet_algos::pagerank::{pagerank, PageRankConfig};
@@ -125,6 +129,36 @@ fn lanczos_and_pagerank_thread_invariant() {
     }
 }
 
+/// The sections whose one pass runs on the pool give the same bytes at
+/// every thread count. On the small tier each pass spans at least three
+/// tasks (3,124 nodes and profiles, 800 clustering samples), which the
+/// 1-thread run's `par.tasks` counters confirm.
+#[test]
+fn pooled_section_passes_thread_invariant() {
+    let ds = Dataset::build(&SynthesisConfig::small(), &AnalysisCtx::quiet());
+    let opts = AnalysisOptions::quick();
+    let passes = [
+        (Section::Basic, "clustering"),
+        (Section::Reciprocity, "reciprocity"),
+        (Section::EliteCore, "reciprocity"),
+        (Section::Categories, "categories"),
+    ];
+    for (section, stage) in passes {
+        let run = |threads: usize| {
+            let obs = Obs::new();
+            let ctx = AnalysisCtx::from_obs(ParPool::new(threads), &obs);
+            let report = run_analysis_section(&ds, section, &opts, &ctx).expect("section runs");
+            let tasks = obs.metrics().counter("par.tasks", &[("stage", stage)]);
+            (serde_json::to_string(&report).expect("section serializes"), tasks)
+        };
+        let (reference, tasks) = run(1);
+        assert!(tasks >= 3, "{section}: stage {stage} ran {tasks} task(s)");
+        for &threads in &SWEEP[1..] {
+            assert_eq!(reference, run(threads).0, "{section} differs at threads={threads}");
+        }
+    }
+}
+
 /// Full battery under a pool of `threads` workers (bootstrap on, so the
 /// GoF path is exercised too). Returns the report JSON and the manifest's
 /// deterministic view JSON.
@@ -179,6 +213,9 @@ fn manifest_records_steal_free_par_counters() {
         "lanczos",
         "gof.bootstrap.continuous",
         "gof.bootstrap.discrete",
+        "reciprocity",
+        "clustering",
+        "categories",
     ];
     for stage in stages {
         let tasks = manifest.counters.get(&format!("par.tasks{{stage={stage}}}"));

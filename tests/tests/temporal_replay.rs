@@ -63,7 +63,7 @@ fn incremental_analyses_match_scratch_at_pinned_horizons() {
     // PageRank restarts. One 30-day engine run covers all three.
     let config = EngineConfig::default();
     let ctx = AnalysisCtx::quiet();
-    let mut engine = TemporalEngine::new(stream(0xBEE, 7), config.clone(), &ctx);
+    let mut engine = TemporalEngine::new(stream(0xBEE, 7), config, &ctx);
     for _ in 0..30 {
         engine.advance_day(&ctx);
     }
@@ -87,7 +87,7 @@ fn day_reports_are_bit_identical_at_any_thread_count() {
     let config = EngineConfig::default();
     let serial = {
         let ctx = AnalysisCtx::quiet();
-        let mut engine = TemporalEngine::new(stream(0xD06, 13), config.clone(), &ctx);
+        let mut engine = TemporalEngine::new(stream(0xD06, 13), config, &ctx);
         for _ in 0..8 {
             engine.advance_day(&ctx);
         }
@@ -95,7 +95,7 @@ fn day_reports_are_bit_identical_at_any_thread_count() {
     };
     for threads in [2usize, 5] {
         let ctx = AnalysisCtx::with_threads(threads);
-        let mut engine = TemporalEngine::new(stream(0xD06, 13), config.clone(), &ctx);
+        let mut engine = TemporalEngine::new(stream(0xD06, 13), config, &ctx);
         for _ in 0..8 {
             engine.advance_day(&ctx);
         }
@@ -111,7 +111,7 @@ fn day_reports_are_bit_identical_at_any_thread_count() {
 fn timeline_as_of_equals_engine_state_at_every_day() {
     let ctx = AnalysisCtx::quiet();
     let config = EngineConfig { compact_every: 3, refit_every: 2, pagerank: None };
-    let timeline = Timeline::build(stream(0xCAB, 5), config.clone(), 9, 4, &ctx);
+    let timeline = Timeline::build(stream(0xCAB, 5), config, 9, 4, &ctx);
     let mut engine = TemporalEngine::new(stream(0xCAB, 5), config, &ctx);
     for day in 0..=9u32 {
         let from_timeline = timeline.graph_as_of(day).expect("day within horizon");
@@ -137,7 +137,7 @@ proptest::proptest! {
     fn incremental_equals_scratch_for_any_seed(churn_seed in 0u64..1024, days in 1u32..=7) {
         let config = EngineConfig { compact_every: 2, refit_every: 3, pagerank: None };
         let ctx = AnalysisCtx::quiet();
-        let mut engine = TemporalEngine::new(stream(0x5EED, churn_seed), config.clone(), &ctx);
+        let mut engine = TemporalEngine::new(stream(0x5EED, churn_seed), config, &ctx);
         for _ in 0..days {
             engine.advance_day(&ctx);
         }
