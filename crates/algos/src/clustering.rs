@@ -57,23 +57,24 @@ fn local_clustering_marked(und: &Undirected, u: NodeId, marked: &mut [bool]) -> 
     links / (k as f64 * (k as f64 - 1.0) / 2.0)
 }
 
-/// Average local clustering coefficient over all nodes (exact). Builds
-/// the projection once: O(V + E), then O(Σ_{v∈N(u)} deg v) per node.
+/// Average local clustering coefficient over all nodes (exact), on the
+/// graph's held projection ([`DiGraph::undirected`]):
+/// O(Σ_{v∈N(u)} deg v) per node.
 pub fn average_local_clustering(g: &DiGraph) -> f64 {
     let n = g.node_count();
     if n == 0 {
         return 0.0;
     }
-    let und = Undirected::from_digraph(g);
+    let und = g.undirected();
     let mut marked = vec![false; n];
-    let total: f64 = g.nodes().map(|u| local_clustering_marked(&und, u, &mut marked)).sum();
+    let total: f64 = g.nodes().map(|u| local_clustering_marked(und, u, &mut marked)).sum();
     total / n as f64
 }
 
 /// Average local clustering estimated from `samples` uniformly chosen nodes
 /// (with replacement). Accurate to ~1/√samples; the estimator of choice at
 /// paper scale, where exact evaluation touches every hub's neighborhood.
-/// Costs one O(V + E) projection build per call, then
+/// Reads the graph's held projection ([`DiGraph::undirected`]) and costs
 /// O(Σ_{v∈N(u)} deg v) per sample `u`.
 ///
 /// The sample nodes are drawn from `rng` up front, on the caller's thread;
@@ -90,7 +91,7 @@ pub fn average_local_clustering_sampled<R: Rng + ?Sized>(
     if n == 0 || samples == 0 {
         return 0.0;
     }
-    let und = Undirected::from_digraph(g);
+    let und = g.undirected();
     let nodes: Vec<NodeId> = (0..samples).map(|_| rng.random_range(0..n as u32)).collect();
     let started = Instant::now();
     let (total, par) = ctx.pool().map_reduce_chunks(
@@ -100,7 +101,7 @@ pub fn average_local_clustering_sampled<R: Rng + ?Sized>(
             let mut marked = vec![false; n];
             nodes[range]
                 .iter()
-                .map(|&u| local_clustering_marked(&und, u, &mut marked))
+                .map(|&u| local_clustering_marked(und, u, &mut marked))
                 .collect::<Vec<f64>>()
         },
         0.0f64,
@@ -126,13 +127,14 @@ mod tests {
 
     #[test]
     fn triangle_nodes_fully_clustered() {
-        let und = Undirected::from_digraph(&directed_triangle_plus_tail());
-        assert_eq!(local_clustering(&und, 0), 1.0);
-        assert_eq!(local_clustering(&und, 1), 1.0);
+        let g = directed_triangle_plus_tail();
+        let und = g.undirected();
+        assert_eq!(local_clustering(und, 0), 1.0);
+        assert_eq!(local_clustering(und, 1), 1.0);
         // Node 2 has neighbors {0,1,3}; only pair (0,1) is linked → 1/3.
-        assert!((local_clustering(&und, 2) - 1.0 / 3.0).abs() < 1e-12);
+        assert!((local_clustering(und, 2) - 1.0 / 3.0).abs() < 1e-12);
         // Degree-1 node contributes zero.
-        assert_eq!(local_clustering(&und, 3), 0.0);
+        assert_eq!(local_clustering(und, 3), 0.0);
     }
 
     #[test]
@@ -172,7 +174,7 @@ mod tests {
         // 0 <-> 1, both also link 2 one-way: neighborhood of 2 is {0,1},
         // which is connected (mutually) → C(2) must be exactly 1, not 2.
         let g = from_edges(3, &[(0, 1), (1, 0), (0, 2), (1, 2)]).unwrap();
-        assert_eq!(local_clustering(&Undirected::from_digraph(&g), 2), 1.0);
+        assert_eq!(local_clustering(g.undirected(), 2), 1.0);
     }
 
     #[test]

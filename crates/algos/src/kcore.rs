@@ -118,7 +118,7 @@ mod tests {
     use vnet_graph::{DiGraph, GraphBuilder};
 
     fn decompose(g: &DiGraph) -> CoreDecomposition {
-        k_core_decomposition(&Undirected::from_digraph(g))
+        k_core_decomposition(g.undirected())
     }
 
     #[test]
@@ -191,8 +191,8 @@ mod tests {
             &[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3), (6, 0), (0, 7)],
         )
         .unwrap();
-        let und = Undirected::from_digraph(&g);
-        let d = k_core_decomposition(&und);
+        let und = g.undirected();
+        let d = k_core_decomposition(und);
         for v in 0..8u32 {
             assert!(d.coreness[v as usize] <= und.degree(v) as u32);
         }

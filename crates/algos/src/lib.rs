@@ -28,12 +28,10 @@
 
 pub mod assortativity;
 pub mod betweenness;
-pub mod closeness;
 pub mod clustering;
 pub mod components;
 pub mod degree;
 pub mod distances;
-pub mod hits;
 pub mod kcore;
 pub mod pagerank;
 pub mod reciprocity;
@@ -45,9 +43,7 @@ pub use components::{
     attracting_components, attracting_components_of, strongly_connected_components,
     weakly_connected_components,
 };
-pub use closeness::{harmonic_closeness_exact, harmonic_closeness_sampled};
 pub use distances::{bfs_distances, distance_distribution, DistanceStats};
-pub use hits::{hits, HitsResult};
 pub use kcore::{k_core_decomposition, CoreDecomposition};
 pub use pagerank::{pagerank, PageRankConfig};
 pub use reciprocity::reciprocity;

@@ -6,8 +6,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 use vnet_algos::betweenness::{betweenness_exact, betweenness_sampled};
-use vnet_algos::closeness::harmonic_closeness_sampled;
-use vnet_algos::hits::hits;
 use vnet_algos::kcore::k_core_decomposition;
 use vnet_algos::pagerank::{pagerank, PageRankConfig};
 use vnet_bench::bench_dataset;
@@ -82,17 +80,8 @@ fn bench_extension_centralities(c: &mut Criterion) {
     let g = &bench_dataset().graph;
     let mut group = c.benchmark_group("extension_centralities");
     group.sample_size(10);
-    group.bench_function("hits", |b| {
-        b.iter(|| black_box(hits(black_box(g), 1e-10, 200)).iterations)
-    });
     group.bench_function("kcore_decomposition", |b| {
         b.iter(|| black_box(k_core_decomposition(&Undirected::from_digraph(black_box(g)))).degeneracy)
-    });
-    group.bench_function("harmonic_closeness_50_pivots", |b| {
-        b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(7);
-            black_box(harmonic_closeness_sampled(black_box(g), 50, &mut rng)).len()
-        })
     });
     group.finish();
 }

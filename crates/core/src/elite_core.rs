@@ -20,7 +20,6 @@ use serde::Serialize;
 use vnet_algos::kcore::k_core_decomposition;
 use vnet_algos::reciprocity::reciprocity_bands;
 use vnet_ctx::AnalysisCtx;
-use vnet_graph::Undirected;
 
 /// Reciprocity and reach within one coreness band.
 #[derive(Debug, Clone, Serialize)]
@@ -56,7 +55,7 @@ pub struct EliteCoreReport {
 /// pool counts the edges of every band.
 pub fn elite_core_analysis(dataset: &Dataset, ctx: &AnalysisCtx) -> EliteCoreReport {
     let g = &dataset.graph;
-    let decomp = k_core_decomposition(&Undirected::from_digraph(g));
+    let decomp = k_core_decomposition(g.undirected());
     let followers = dataset.followers();
 
     // Quartile thresholds over nonzero coreness.

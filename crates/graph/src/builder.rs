@@ -66,11 +66,6 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Grow the node id space to at least `n` nodes.
-    pub fn grow_to(&mut self, n: u32) {
-        self.n = self.n.max(n);
-    }
-
     /// Stage the directed edge `u → v`. Self-loops are dropped without
     /// error; out-of-range endpoints are rejected.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) -> Result<()> {
@@ -140,15 +135,6 @@ mod tests {
         let mut b = GraphBuilder::new(2);
         assert!(matches!(b.add_edge(0, 2), Err(GraphError::NodeOutOfRange { node: 2, .. })));
         assert!(matches!(b.add_edge(5, 0), Err(GraphError::NodeOutOfRange { node: 5, .. })));
-    }
-
-    #[test]
-    fn grow_to_extends_id_space() {
-        let mut b = GraphBuilder::new(1);
-        assert!(b.add_edge(0, 3).is_err());
-        b.grow_to(4);
-        assert!(b.add_edge(0, 3).is_ok());
-        assert_eq!(b.build().node_count(), 4);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The immutable CSR directed graph.
 
-use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
+
+use crate::Undirected;
 
 /// A node identifier. Dense indices in `0..graph.node_count()`.
 ///
@@ -14,14 +16,31 @@ pub type NodeId = u32;
 /// Neighbor lists are sorted and duplicate-free, enabling `O(log d)`
 /// [`DiGraph::has_edge`] checks and linear merges and intersections of a
 /// node's two lists (see [`crate::undirected`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The graph also holds its undirected projection, built on the first
+/// call to [`DiGraph::undirected`] and kept for the graph's life. A clone
+/// carries the projection if it was built; equality ignores it.
+#[derive(Debug, Clone)]
 pub struct DiGraph {
     n: u32,
     out_offsets: Vec<u64>,
     out_targets: Vec<NodeId>,
     in_offsets: Vec<u64>,
     in_sources: Vec<NodeId>,
+    undirected: OnceLock<Undirected>,
 }
+
+impl PartialEq for DiGraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n
+            && self.out_offsets == other.out_offsets
+            && self.out_targets == other.out_targets
+            && self.in_offsets == other.in_offsets
+            && self.in_sources == other.in_sources
+    }
+}
+
+impl Eq for DiGraph {}
 
 impl DiGraph {
     /// Assemble from pre-sorted CSR arrays. Intended for [`crate::GraphBuilder`]
@@ -37,18 +56,12 @@ impl DiGraph {
         debug_assert_eq!(in_offsets.len(), n as usize + 1);
         debug_assert_eq!(*out_offsets.last().unwrap_or(&0) as usize, out_targets.len());
         debug_assert_eq!(*in_offsets.last().unwrap_or(&0) as usize, in_sources.len());
-        Self { n, out_offsets, out_targets, in_offsets, in_sources }
+        Self { n, out_offsets, out_targets, in_offsets, in_sources, undirected: OnceLock::new() }
     }
 
     /// An empty graph with `n` isolated nodes.
     pub fn empty(n: u32) -> Self {
-        Self {
-            n,
-            out_offsets: vec![0; n as usize + 1],
-            out_targets: Vec::new(),
-            in_offsets: vec![0; n as usize + 1],
-            in_sources: Vec::new(),
-        }
+        Self::from_csr(n, vec![0; n as usize + 1], Vec::new(), vec![0; n as usize + 1], Vec::new())
     }
 
     /// Number of nodes.
@@ -188,15 +201,34 @@ impl DiGraph {
     }
 
     /// The transpose graph (every edge reversed). O(V + E); cheap because
-    /// both directions are already stored.
+    /// both directions are already stored. It builds its own projection
+    /// when asked.
     pub fn transpose(&self) -> DiGraph {
-        DiGraph {
-            n: self.n,
-            out_offsets: self.in_offsets.clone(),
-            out_targets: self.in_sources.clone(),
-            in_offsets: self.out_offsets.clone(),
-            in_sources: self.out_targets.clone(),
-        }
+        DiGraph::from_csr(
+            self.n,
+            self.in_offsets.clone(),
+            self.in_sources.clone(),
+            self.out_offsets.clone(),
+            self.out_targets.clone(),
+        )
+    }
+
+    /// The undirected projection: built by [`Undirected::from_digraph`] on
+    /// the first call (one O(V + E) merge pass; concurrent first callers
+    /// wait for one build) and held until the graph is dropped. Clustering,
+    /// the k-core peel, the Laplacian and the temporal counters all read
+    /// this one copy.
+    ///
+    /// # Examples
+    /// ```
+    /// use vnet_graph::builder::from_edges;
+    ///
+    /// let g = from_edges(3, &[(0, 1), (1, 0), (2, 0)]).unwrap();
+    /// assert_eq!(g.undirected().neighbors(0), &[1, 2]);
+    /// assert!(std::ptr::eq(g.undirected(), g.undirected())); // built once
+    /// ```
+    pub fn undirected(&self) -> &Undirected {
+        self.undirected.get_or_init(|| Undirected::from_digraph(self))
     }
 
     /// Out-degree sequence, indexed by node.
@@ -285,6 +317,26 @@ mod tests {
             assert!(t.has_edge(v, u));
         }
         assert_eq!(t.transpose(), g);
+    }
+
+    #[test]
+    fn projection_is_built_once_and_left_out_of_equality() {
+        let g = diamond();
+        let copy = g.clone();
+        let und = g.undirected();
+        assert_eq!(*und, Undirected::from_digraph(&g));
+        assert!(std::ptr::eq(und, g.undirected()));
+        assert!(copy.undirected.get().is_none());
+        assert_eq!(g, copy);
+    }
+
+    #[test]
+    fn transpose_builds_its_own_projection() {
+        let g = diamond();
+        let t = g.transpose();
+        assert!(t.undirected.get().is_none());
+        assert!(!std::ptr::eq(t.undirected(), g.undirected()));
+        assert_eq!(t.undirected(), g.undirected());
     }
 
     #[test]

@@ -25,25 +25,22 @@
 //! * [`subgraph`] — induced sub-graphs with id remapping (the paper's
 //!   dataset *is* an induced sub-graph: the verified users inside the full
 //!   Twitter graph).
-//! * [`undirected`] — the undirected projection (out ∪ in as one CSR) and
+//! * [`undirected`] — the undirected projection (out ∪ in as one CSR),
+//!   which each graph builds once and holds ([`DiGraph::undirected`]), and
 //!   the one sorted merge and intersection every consumer reads through.
 //! * [`io`] — plain edge-list and compact binary serialization.
-//! * [`NodeTable`] — typed per-node attribute columns.
 
 pub mod builder;
 pub mod csr;
-pub mod export;
 pub mod io;
 pub mod streaming;
 pub mod subgraph;
-pub mod table;
 pub mod undirected;
 
 pub use builder::GraphBuilder;
 pub use csr::{DiGraph, NodeId};
 pub use streaming::{StreamStats, StreamingBuilder};
 pub use subgraph::induced_subgraph;
-pub use table::NodeTable;
 pub use undirected::{common_count, for_each_common, union_sorted, Undirected};
 
 /// Errors produced by graph construction and I/O.

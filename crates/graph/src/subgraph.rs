@@ -16,13 +16,6 @@ pub struct InducedSubgraph {
     pub original_of: Vec<NodeId>,
 }
 
-impl InducedSubgraph {
-    /// Map a new (sub-graph) id back to the original id.
-    pub fn to_original(&self, new_id: NodeId) -> NodeId {
-        self.original_of[new_id as usize]
-    }
-}
-
 /// Induce the sub-graph of `g` on `subset`, remapping ids densely in the
 /// order given. Duplicate entries in `subset` are ignored after the first.
 pub fn induced_subgraph(g: &DiGraph, subset: &[NodeId]) -> InducedSubgraph {
@@ -72,9 +65,7 @@ mod tests {
     fn id_mapping_roundtrip() {
         let g = line_graph();
         let sub = induced_subgraph(&g, &[3, 0, 4]);
-        assert_eq!(sub.to_original(0), 3);
-        assert_eq!(sub.to_original(1), 0);
-        assert_eq!(sub.to_original(2), 4);
+        assert_eq!(sub.original_of, vec![3, 0, 4]);
         // Edges 3->4 and 4->0 survive: (0->2) and (2->1) in new ids.
         assert!(sub.graph.has_edge(0, 2));
         assert!(sub.graph.has_edge(2, 1));

@@ -15,16 +15,16 @@ use crate::{DiGraph, NodeId};
 /// needs no self-exclusion (every `DiGraph` constructor drops self-loops).
 ///
 /// Memory: `8(n + 1) + 4·2(E − mutual pairs)` bytes, built in one
-/// O(V + E) merge pass; callers build it per use and drop it.
+/// O(V + E) merge pass. Each graph builds it once, on the first call to
+/// [`DiGraph::undirected`], and holds it for its whole life.
 ///
 /// # Examples
 /// ```
 /// use vnet_graph::builder::from_edges;
-/// use vnet_graph::Undirected;
 ///
 /// // 0 -> 1, 1 -> 0 (mutual) and 2 -> 0.
 /// let g = from_edges(3, &[(0, 1), (1, 0), (2, 0)]).unwrap();
-/// let und = Undirected::from_digraph(&g);
+/// let und = g.undirected();
 /// assert_eq!(und.neighbors(0), &[1, 2]);
 /// assert_eq!(und.degree(1), 1); // the mutual pair counts once
 /// ```
@@ -36,6 +36,8 @@ pub struct Undirected {
 
 impl Undirected {
     /// Project `g`: one [`union_sorted`] of each node's out- and in-list.
+    /// A fresh build on every call; read a graph's projection through
+    /// [`DiGraph::undirected`], which builds it once.
     pub fn from_digraph(g: &DiGraph) -> Self {
         let mut offsets = Vec::with_capacity(g.node_count() + 1);
         let mut neighbors = Vec::with_capacity(2 * g.edge_count());

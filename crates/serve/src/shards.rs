@@ -359,10 +359,21 @@ mod tests {
     #[test]
     fn every_churn_day_fingerprints_as_the_base_with_that_days_graph() {
         // A sybil shard as registration builds it: the planted graph is
-        // the base, and the purchase campaigns arrive as churn days.
+        // the base, and the purchase campaigns arrive as churn days. The
+        // plain graph's projection is built first, so a base or a day
+        // that carried it instead of its own would show.
         let plain = dataset();
+        let degree_sum = |g: &DiGraph| g.nodes().map(|u| g.undirected().degree(u)).sum::<usize>();
+        let plain_degrees = degree_sum(&plain.graph);
+        // A copy rebuilt from the edges, with no projection yet.
+        let fresh = |g: &DiGraph| {
+            let edges: Vec<_> = g.edges().collect();
+            vnet_graph::builder::from_edges(g.node_count() as u32, &edges).expect("ids in range")
+        };
         let workload = vnet_synth::inject_sybil(&plain.graph, &vnet_synth::SybilConfig::default());
         let base = Dataset { graph: workload.graph.clone(), ..plain };
+        assert_eq!(base.graph.undirected(), fresh(&base.graph).undirected());
+        assert_ne!(degree_sum(&base.graph), plain_degrees);
         let churn = vnet_synth::ChurnConfig::default();
         let mut stream = vnet_synth::ChurnStream::from_graph(&base.graph, churn);
         workload.attach(&mut stream);
@@ -379,6 +390,9 @@ mod tests {
             let (data, _) = temporal.day_data(day, &snapshot).expect("day within the horizon");
             let graph = temporal.timeline.graph_as_of(day).expect("day within the horizon");
             assert_eq!(data.dataset.graph, graph, "day {day}");
+            let day_graph = &data.dataset.graph;
+            assert_eq!(day_graph.undirected(), fresh(day_graph).undirected(), "day {day}");
+            assert_ne!(degree_sum(day_graph), plain_degrees, "day {day}");
             let want = Dataset { graph, ..base.clone() }.fingerprint();
             assert_eq!(data.fingerprint, want, "day {day}");
             assert_eq!(data.dataset.profiles, base.profiles, "day {day}");

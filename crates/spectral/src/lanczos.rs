@@ -551,7 +551,8 @@ mod tests {
                 }
             }
         }
-        let l = SymLaplacian::from_digraph(&b.build());
+        let g = b.build();
+        let l = SymLaplacian::from_digraph(&g);
         let mut rng = StdRng::seed_from_u64(3);
         let ev = lanczos_topk(&l, 5, 5, &mut rng, &AnalysisCtx::quiet());
         for &x in &ev[..4] {
@@ -568,7 +569,8 @@ mod tests {
         for leaf in 1..n {
             b.add_edge(0, leaf).unwrap();
         }
-        let l = SymLaplacian::from_digraph(&b.build());
+        let g = b.build();
+        let l = SymLaplacian::from_digraph(&g);
         let mut rng = StdRng::seed_from_u64(4);
         let ev = lanczos_topk(&l, 3, 25, &mut rng, &AnalysisCtx::quiet());
         assert!((ev[0] - n as f64).abs() < 1e-6, "λmax={} want {n}", ev[0]);
@@ -614,21 +616,23 @@ mod tests {
         assert!(ev[3].abs() < 1e-6);
     }
 
-    /// An operator of three row tasks per matvec and per sweep pass, so
-    /// the sweeps' coefficient shares really are summed across tasks.
-    fn three_task_operator() -> SymLaplacian {
+    /// A graph whose operator has three row tasks per matvec and per
+    /// sweep pass, so the sweeps' coefficient shares really are summed
+    /// across tasks.
+    fn three_task_graph() -> vnet_graph::DiGraph {
         let n = 2 * ROW_CHUNK as u32 + 1_000;
         let edges: Vec<(u32, u32)> = (0..n)
             .flat_map(|i| [(i, (i * 17 + 3) % n), (i, (i + 1) % n), (i, (i * i + 7) % n)])
             .filter(|(a, b)| a != b)
             .collect();
-        SymLaplacian::from_digraph(&from_edges(n, &edges).unwrap())
+        from_edges(n, &edges).unwrap()
     }
 
     #[test]
     fn pool_ritz_values_bitwise_equal_serial_across_thread_counts() {
         // Equal bits of T mean equal Ritz values.
-        let l = three_task_operator();
+        let g = three_task_graph();
+        let l = SymLaplacian::from_digraph(&g);
         let run = |threads: usize| {
             let mut rng = StdRng::seed_from_u64(11);
             let t = krylov(&l, 80, &mut rng, &ParPool::new(threads), &ScratchArena::new());
@@ -644,7 +648,8 @@ mod tests {
 
     #[test]
     fn lanczos_topk_runs_on_the_context_pool_with_serial_bits_and_counts() {
-        let l = three_task_operator();
+        let g = three_task_graph();
+        let l = SymLaplacian::from_digraph(&g);
         let run = |threads: usize| {
             let obs = vnet_obs::Obs::new();
             let ctx = AnalysisCtx::from_obs(ParPool::new(threads), &obs);
@@ -693,10 +698,11 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        let l = SymLaplacian::from_digraph(&vnet_graph::DiGraph::empty(0));
+        let (g, g2) = (vnet_graph::DiGraph::empty(0), vnet_graph::DiGraph::empty(3));
+        let l = SymLaplacian::from_digraph(&g);
         let mut rng = StdRng::seed_from_u64(8);
         assert!(lanczos_topk(&l, 5, 10, &mut rng, &AnalysisCtx::quiet()).is_empty());
-        let l2 = SymLaplacian::from_digraph(&vnet_graph::DiGraph::empty(3));
+        let l2 = SymLaplacian::from_digraph(&g2);
         assert!(lanczos_topk(&l2, 0, 10, &mut rng, &AnalysisCtx::quiet()).is_empty());
     }
 }

@@ -15,17 +15,19 @@ pub(crate) const ROW_CHUNK: usize = 4096;
 /// directed graph (an undirected edge `{u, v}` exists when either `u → v`
 /// or `v → u` does).
 ///
-/// Wraps the graph's [`Undirected`] projection; the only operation exposed
-/// is the matrix-vector product, which is all both eigensolvers need.
+/// Borrows the graph's held [`Undirected`] projection; the only operation
+/// exposed is the matrix-vector product, which is all both eigensolvers
+/// need.
 #[derive(Debug, Clone)]
-pub struct SymLaplacian {
-    adj: Undirected,
+pub struct SymLaplacian<'g> {
+    adj: &'g Undirected,
 }
 
-impl SymLaplacian {
-    /// Build from a directed graph by symmetrizing its edge set.
-    pub fn from_digraph(g: &DiGraph) -> Self {
-        Self { adj: Undirected::from_digraph(g) }
+impl<'g> SymLaplacian<'g> {
+    /// The Laplacian of `g`'s undirected projection, which `g` builds on
+    /// first use and holds ([`DiGraph::undirected`]).
+    pub fn from_digraph(g: &'g DiGraph) -> Self {
+        Self { adj: g.undirected() }
     }
 
     /// Dimension of the operator.

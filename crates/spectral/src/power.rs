@@ -120,7 +120,8 @@ mod tests {
         for leaf in 1..n {
             b.add_edge(0, leaf).unwrap();
         }
-        let l = SymLaplacian::from_digraph(&b.build());
+        let g = b.build();
+        let l = SymLaplacian::from_digraph(&g);
         let mut rng = StdRng::seed_from_u64(11);
         let ev = power_iteration_topk(&l, 1, 1e-12, 5000, &mut rng);
         assert!((ev[0] - n as f64).abs() < 1e-6, "got {}", ev[0]);
@@ -137,7 +138,8 @@ mod tests {
                 b.add_edge(u, v).unwrap();
             }
         }
-        let l = SymLaplacian::from_digraph(&b.build());
+        let g = b.build();
+        let l = SymLaplacian::from_digraph(&g);
         let power = power_iteration_topk(&l, 4, 1e-13, 20_000, &mut rng);
         let lanc = lanczos_topk(&l, 4, 40, &mut rng, &vnet_ctx::AnalysisCtx::quiet());
         for (p, q) in power.iter().zip(&lanc) {
@@ -160,7 +162,8 @@ mod tests {
 
     #[test]
     fn empty_and_zero_k() {
-        let l = SymLaplacian::from_digraph(&vnet_graph::DiGraph::empty(4));
+        let g = vnet_graph::DiGraph::empty(4);
+        let l = SymLaplacian::from_digraph(&g);
         let mut rng = StdRng::seed_from_u64(14);
         assert!(power_iteration_topk(&l, 0, 1e-10, 100, &mut rng).is_empty());
         let ev = power_iteration_topk(&l, 2, 1e-10, 100, &mut rng);

@@ -22,7 +22,7 @@
 //! remove; the directed edge `u → v` itself never affects the common-
 //! neighbor count (no self-loops, endpoints excluded by construction).
 
-use vnet_graph::{common_count, union_sorted, DiGraph, NodeId, Undirected};
+use vnet_graph::{common_count, union_sorted, DiGraph, NodeId};
 
 use crate::overlay::DeltaOverlay;
 
@@ -114,8 +114,8 @@ impl StructuralCounters {
             in_deg[u as usize] = g.in_degree(u) as u64;
             reciprocal += common_count(g.out_neighbors(u), g.in_neighbors(u));
         }
-        // Undirected adjacency once, then degrees / wedges / closed wedges.
-        let und = Undirected::from_digraph(g);
+        // The graph's held projection: degrees / wedges / closed wedges.
+        let und = g.undirected();
         let und_deg: Vec<u64> = (0..n as NodeId).map(|u| und.degree(u) as u64).collect();
         let wedges = und_deg.iter().map(|&d| d * d.saturating_sub(1) / 2).sum();
         let mut closed_wedges = 0u64;

@@ -271,6 +271,22 @@ full)
         echo "       (use vnet_graph::{Undirected, union_sorted, for_each_common, common_count})" >&2
         exit 1
     fi
+    # One projection per graph: DiGraph::undirected builds it on first use
+    # and holds it, so only vnet-graph and the criterion benches that time
+    # the build call Undirected::from_digraph. The unread graph surface
+    # and the unread centralities stay deleted.
+    if grep -rn --include='*.rs' -F 'Undirected::from_digraph' crates/ tests/ examples/ \
+        | grep -v -E '^crates/(graph/src|bench/benches)/'; then
+        echo "error: an undirected projection built outside vnet-graph" >&2
+        echo "       (read the graph's held view through DiGraph::undirected)" >&2
+        exit 1
+    fi
+    if grep -rn --include='*.rs' -E 'NodeTable|write_dot|write_graphml|harmonic_closeness|HitsResult' \
+        crates/ tests/ examples/; then
+        echo "error: a deleted graph export, node table or centrality reappeared" >&2
+        echo "       (nothing in the workspace reads them; see DESIGN.md's extension table)" >&2
+        exit 1
+    fi
     # A wire line and its newline leave in one write: a newline written on
     # its own waits under Nagle for the peer's delayed ACK (~40 ms).
     if grep -rn --include='*.rs' -F 'write_all(b"\n")' crates/ tests/ examples/; then

@@ -14,7 +14,7 @@ use vnet_algos::kcore::k_core_decomposition;
 use vnet_algos::pagerank::{pagerank, PageRankConfig};
 use vnet_algos::reciprocity::{reciprocity, reciprocity_bands, EdgeCounts};
 use vnet_graph::builder::from_edges;
-use vnet_graph::{common_count, for_each_common, induced_subgraph, DiGraph, NodeId, Undirected};
+use vnet_graph::{common_count, for_each_common, induced_subgraph, DiGraph, NodeId};
 use vnet_spectral::{lanczos_topk, SymLaplacian};
 
 /// Edge densities of the dense-reference Lanczos graphs: from mostly
@@ -305,7 +305,7 @@ proptest! {
     #[test]
     fn projection_matches_neighbor_sets(raw in proptest::collection::vec((0u32..12, 0u32..12), 0..70)) {
         let g = graph_from(12, &raw);
-        let und = Undirected::from_digraph(&g);
+        let und = g.undirected();
         prop_assert_eq!(und.node_count(), 12);
         for (u, set) in brute_undirected(&g).iter().enumerate() {
             let expect: Vec<NodeId> = set.iter().copied().collect();
@@ -333,9 +333,9 @@ proptest! {
     #[test]
     fn clustering_matches_pair_enumeration(raw in proptest::collection::vec((0u32..12, 0u32..12), 0..70)) {
         let g = graph_from(12, &raw);
-        let und = Undirected::from_digraph(&g);
+        let und = g.undirected();
         for (u, set) in brute_undirected(&g).iter().enumerate() {
-            let fast = local_clustering(&und, u as NodeId);
+            let fast = local_clustering(und, u as NodeId);
             let brute = brute_clustering(&g, set);
             prop_assert_eq!(fast.to_bits(), brute.to_bits(), "u={}: {} vs {}", u, fast, brute);
         }
@@ -344,7 +344,7 @@ proptest! {
     #[test]
     fn kcore_matches_naive_peeling(raw in proptest::collection::vec((0u32..12, 0u32..12), 0..70)) {
         let g = graph_from(12, &raw);
-        let d = k_core_decomposition(&Undirected::from_digraph(&g));
+        let d = k_core_decomposition(g.undirected());
         let brute = brute_coreness(&brute_undirected(&g));
         prop_assert_eq!(&d.coreness, &brute);
         prop_assert_eq!(d.degeneracy, brute.iter().copied().max().unwrap_or(0));
